@@ -8,7 +8,7 @@ diagnostics: after training, the mass should sit on the sentiment markers.
 import numpy as np
 
 from absalab.alsa import InputMode, alsa_forward, alsa_loss, build_input, create_alsa_model
-from absalab.harness import train_alsa_core, training_accuracy
+from absalab.harness import fit, training_accuracy
 from absalab.optim import AdamConfig, ParamStore
 from absalab.synthetic import synthetic_alsa_samples
 
@@ -23,8 +23,8 @@ for arch in ("tclstm", "atae", "ian"):
     store = ParamStore()
     model = create_alsa_model(store, arch, d_in=vocab.dim, hidden=16,
                               rng=np.random.default_rng(2))
-    log, _, _ = train_alsa_core(model, store, samples, mode, vocab.matrix,
-                                AdamConfig(lr=0.01), epochs=15, seed=3)
+    log, _, _ = fit(store, samples, lambda s: alsa_loss(model, s, mode, vocab.matrix),
+                    AdamConfig(lr=0.01), epochs=15, seed=3)
     acc = training_accuracy(model, samples, mode, vocab.matrix)
     print(f"{arch:>7s}: {len(store.names())} parameter tensors, "
           f"final epoch loss {log[-1]['train_loss']:.4f}, training accuracy {acc:.2f}")

@@ -10,16 +10,11 @@ here is the moving parts: widened inputs, frozen rows, shared encoders.
 import numpy as np
 
 from absalab.ae import AeModel, ae_loss
-from absalab.alsa import InputMode, MultitaskModel, create_alsa_model, multitask_loss
+from absalab.alsa import InputMode, MultitaskModel, alsa_loss, create_alsa_model, multitask_loss
 from absalab.ae import encode_spans
-from absalab.harness import (
-    export_transfer_cache,
-    majority_report,
-    train_alsa_core,
-    training_accuracy,
-)
+from absalab.harness import export_transfer_cache, fit, majority_report, training_accuracy
 from absalab.metrics import format_report
-from absalab.optim import AdamConfig, ParamStore, adam_step, forward_backward
+from absalab.optim import AdamConfig, ParamStore
 from absalab.synthetic import synthetic_alsa_samples, synthetic_vocabulary
 
 samples, vocab = synthetic_alsa_samples(num_samples=20, seed=5)
@@ -27,12 +22,8 @@ samples, vocab = synthetic_alsa_samples(num_samples=20, seed=5)
 # 1) train a small tagger on the same sentences (aspect word = span gold)
 store = ParamStore()
 tagger = AeModel.create(store, vocab.matrix, hidden_dim=6, rng=np.random.default_rng(0))
-cfg = AdamConfig(lr=0.01)
 tagging_items = [(s.token_ids, encode_spans([s.span], len(s.token_ids))) for s in samples]
-for _ in range(10):
-    for ids, bio in tagging_items:
-        forward_backward(store, lambda: ae_loss(tagger, ids, bio))
-        adam_step(store, cfg)
+fit(store, tagging_items, lambda item: ae_loss(tagger, *item), AdamConfig(lr=0.01), epochs=10, seed=0)
 
 # 2) export frozen transfer rows, keyed by sentence id
 cache = export_transfer_cache(tagger, [(s.sentence_id, s.token_ids) for s in samples])
@@ -48,7 +39,7 @@ modes = {
 for name, (mode, d_in) in modes.items():
     st = ParamStore()
     model = create_alsa_model(st, "atae", d_in=d_in, hidden=12, rng=np.random.default_rng(4))
-    train_alsa_core(model, st, samples, mode, vocab.matrix, AdamConfig(lr=0.01), epochs=12, seed=1)
+    fit(st, samples, lambda s: alsa_loss(model, s, mode, vocab.matrix), AdamConfig(lr=0.01), epochs=12, seed=1)
     acc = training_accuracy(model, samples, mode, vocab.matrix)
     print(f"{name:>14s}: input width {d_in:>2d}, training accuracy {acc:.2f}")
 
@@ -56,14 +47,10 @@ for name, (mode, d_in) in modes.items():
 st = ParamStore()
 mt = MultitaskModel.create(st, vocab.matrix, shared_hidden=6, alsa_hidden=12,
                            rng=np.random.default_rng(5))
-for _ in range(12):
-    for sample, (ids, bio) in zip(samples, tagging_items):
-        forward_backward(st, lambda: multitask_loss(mt, ids, bio, sample.span, sample.label))
-        adam_step(st, AdamConfig(lr=0.01))
-from absalab.alsa import multitask_forward
-
-preds = [int(np.argmax(multitask_forward(mt, s.token_ids, s.span)[1].data)) for s in samples]
-mt_acc = sum(p == s.label for p, s in zip(preds, samples)) / len(samples)
+fit(st, list(zip(samples, tagging_items)),
+    lambda item: multitask_loss(mt, *item[1], item[0].span, item[0].label),  # item = (sample, (ids, bio))
+    AdamConfig(lr=0.01), epochs=12, seed=1)
+mt_acc = training_accuracy(mt, samples, InputMode.plain(), vocab.matrix)
 print(f"{'multi-task':>14s}: joint tagging+classification, training accuracy {mt_acc:.2f}")
 
 # 5) majority baseline and sliced metrics

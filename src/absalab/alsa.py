@@ -291,10 +291,6 @@ class MultitaskModel:
     attention: AttentionParams
     head: HeadParams
 
-    @property
-    def shared_dim(self) -> int:
-        return self.gru_fwd.hidden_dim + self.gru_bwd.hidden_dim
-
     @classmethod
     def create(cls, store: ParamStore, embedding_matrix, shared_hidden: int = 32,
                alsa_hidden: int = 128, rng: np.random.Generator | None = None,

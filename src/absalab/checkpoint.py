@@ -21,6 +21,7 @@ sentence id.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -80,7 +81,7 @@ def load_archive(path) -> dict[str, np.ndarray]:
         offset += name_len
         (rank,) = unpack("<B")
         shape = tuple(unpack(f"<{rank}I")) if rank else ()
-        size = int(np.prod(shape)) if shape else 1
+        size = math.prod(shape)  # Python ints: a wrapped product would pass the length check
         nbytes = 4 * size
         if offset + nbytes > len(blob):
             raise ValueError(f"{path}: truncated values for entry {name!r}")

@@ -123,7 +123,7 @@ def _cmd_grid_search(args) -> int:
             raise ConfigError(f"--grid expects key=v1,v2,... got {spec!r}")
         key, values = spec.split("=", 1)
         grid[key.strip()] = [v.strip() for v in values.split(",") if v.strip()]
-    rows = grid_search(config, grid, workers=args.workers)
+    rows = grid_search(config, grid)
     for rank, row in enumerate(rows, start=1):
         print(json.dumps({"rank": rank, **row}, sort_keys=True))
     return 0
@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="train one run per grid point, rank by dev macro F1")
     _add_config_flags(p)
     p.add_argument("--grid", action="append", required=True, metavar="KEY=V1,V2,...")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=_cmd_grid_search)
 
     p = sub.add_parser("cross-domain", help="transfer from one domain's extractor to another's classifier")

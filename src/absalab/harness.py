@@ -2,20 +2,18 @@
 
 Everything here is deterministic given the config seed: initialization,
 data shuffling and noise rows all derive from it, so repeating a run
-produces bit-identical checkpoints and logs. One model trains per thread;
-grid-search points may fan out across a thread pool because no state is
-shared between runs.
+produces bit-identical checkpoints and logs. Grid-search points run one
+after another: the autograd tape is pure Python and holds the GIL, so a
+thread pool measured no faster than the serial loop.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import typing
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -100,9 +98,6 @@ class ExperimentConfig:
         if overrides:
             mapping.update(overrides)
         return cls.from_mapping(mapping)
-
-    def to_mapping(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def parse_kv_file(path) -> dict:
@@ -235,7 +230,7 @@ def stratified_dev_split(samples: Sequence[AlsaSample], fraction: float, seed: i
     return train, dev
 
 
-# -- in-memory training cores -----------------------------------------------------------
+# -- in-memory training loop ------------------------------------------------------------
 
 
 @dataclass
@@ -254,105 +249,38 @@ class TrainResult:
     log_path: Path | None = None
 
 
-def _epoch_order(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.permutation(n)
-
-
-def train_alsa_core(model, store: ParamStore, samples: Sequence[AlsaSample], mode: InputMode,
-                    embeddings: np.ndarray, adam: AdamConfig | None, epochs: int, seed: int,
-                    dev_samples: Sequence[AlsaSample] | None = None) -> tuple[list[dict], dict, float | None]:
+def fit(store: ParamStore, items: Sequence, loss_fn: Callable, adam: AdamConfig | None,
+        epochs: int, seed: int, dev_key: str | None = None,
+        dev_score: Callable[[], float] | None = None) -> tuple[list[dict], dict, float | None]:
     """Sample-at-a-time training; returns (log, best_state, best_dev).
 
-    `adam=None` runs the loop without updates (the lr = 0 degenerate case).
+    Every epoch visits `items` in a fresh seeded permutation, one
+    `loss_fn(item)` step each. `adam=None` runs the loop without updates
+    (the lr = 0 degenerate case). With `dev_score`, each epoch record gains
+    `dev_key` and the state is copied whenever the score strictly improves;
+    otherwise best_state is the final state.
     """
     rng = np.random.default_rng(seed)
     log: list[dict] = []
-    best_state = store.state_dict()
+    best_state: dict | None = None
     best_dev: float | None = None
     for epoch in range(1, epochs + 1):
         total = 0.0
-        for i in _epoch_order(rng, len(samples)):
-            sample = samples[i]
-            total += forward_backward(store, lambda: alsa_mod.alsa_loss(model, sample, mode, embeddings))
-            if adam is not None:
-                adam_step(store, adam)
-        record: dict = {"epoch": epoch, "train_loss": total / max(len(samples), 1)}
-        if dev_samples:
-            preds = [alsa_mod.predict_label(model, s, mode, embeddings) for s in dev_samples]
-            dev = macro_f1(preds, [s.label for s in dev_samples]).macro_f1
-            record["dev_macro_f1"] = dev
-            if best_dev is None or dev > best_dev:
-                best_dev = dev
-                best_state = store.state_dict()
-                record["best"] = True
-        log.append(record)
-    if not dev_samples:
-        best_state = store.state_dict()
-    return log, best_state, best_dev
-
-
-def train_ae_core(model: ae_mod.AeModel, store: ParamStore,
-                  items: Sequence[tuple[Sequence[int], Sequence[str]]],
-                  adam: AdamConfig | None, epochs: int, seed: int,
-                  dev_items: Sequence[tuple[Sequence[int], Sequence[str]]] | None = None
-                  ) -> tuple[list[dict], dict, float | None]:
-    """Tagging training over (token_ids, gold BIO) pairs."""
-    rng = np.random.default_rng(seed)
-    log: list[dict] = []
-    best_state = store.state_dict()
-    best_dev: float | None = None
-    for epoch in range(1, epochs + 1):
-        total = 0.0
-        for i in _epoch_order(rng, len(items)):
-            ids, gold = items[i]
-            total += forward_backward(store, lambda: ae_mod.ae_loss(model, ids, gold))
+        for i in rng.permutation(len(items)):
+            item = items[i]
+            total += forward_backward(store, lambda: loss_fn(item))
             if adam is not None:
                 adam_step(store, adam)
         record: dict = {"epoch": epoch, "train_loss": total / max(len(items), 1)}
-        if dev_items:
-            dev = corpus_span_f1(model, dev_items)
-            record["dev_span_f1"] = dev
+        if dev_score is not None:
+            dev = dev_score()
+            record[dev_key] = dev
             if best_dev is None or dev > best_dev:
                 best_dev = dev
                 best_state = store.state_dict()
                 record["best"] = True
         log.append(record)
-    if not dev_items:
-        best_state = store.state_dict()
-    return log, best_state, best_dev
-
-
-def train_multitask_core(model: alsa_mod.MultitaskModel, store: ParamStore,
-                         items: Sequence[tuple[AlsaSample, Sequence[str]]],
-                         adam: AdamConfig | None, epochs: int, seed: int,
-                         dev_items: Sequence[tuple[AlsaSample, Sequence[str]]] | None = None
-                         ) -> tuple[list[dict], dict, float | None]:
-    """Joint training over (sample, gold BIO of its sentence) pairs."""
-    rng = np.random.default_rng(seed)
-    log: list[dict] = []
-    best_state = store.state_dict()
-    best_dev: float | None = None
-    for epoch in range(1, epochs + 1):
-        total = 0.0
-        for i in _epoch_order(rng, len(items)):
-            sample, bio = items[i]
-            total += forward_backward(
-                store, lambda: alsa_mod.multitask_loss(model, sample.token_ids, bio, sample.span, sample.label)
-            )
-            if adam is not None:
-                adam_step(store, adam)
-        record: dict = {"epoch": epoch, "train_loss": total / max(len(items), 1)}
-        if dev_items:
-            preds = [int(np.argmax(alsa_mod.multitask_forward(model, s.token_ids, s.span)[1].data))
-                     for s, _ in dev_items]
-            dev = macro_f1(preds, [s.label for s, _ in dev_items]).macro_f1
-            record["dev_macro_f1"] = dev
-            if best_dev is None or dev > best_dev:
-                best_dev = dev
-                best_state = store.state_dict()
-                record["best"] = True
-        log.append(record)
-    if not dev_items:
+    if best_state is None:
         best_state = store.state_dict()
     return log, best_state, best_dev
 
@@ -374,8 +302,20 @@ def corpus_span_f1(model: ae_mod.AeModel, items: Sequence[tuple[Sequence[int], S
     return 100.0 * 2 * precision * recall / (precision + recall)
 
 
+def _predict(model, sample: AlsaSample, mode: InputMode, embeddings: np.ndarray) -> int:
+    """Predicted class of one sample; multitask models ignore `mode`."""
+    if isinstance(model, alsa_mod.MultitaskModel):
+        return int(np.argmax(alsa_mod.multitask_forward(model, sample.token_ids, sample.span)[1].data))
+    return alsa_mod.predict_label(model, sample, mode, embeddings)
+
+
+def _dev_macro_f1(model, samples: Sequence[AlsaSample], mode: InputMode, embeddings: np.ndarray) -> float:
+    preds = [_predict(model, s, mode, embeddings) for s in samples]
+    return macro_f1(preds, [s.label for s in samples]).macro_f1
+
+
 def training_accuracy(model, samples: Sequence[AlsaSample], mode: InputMode, embeddings: np.ndarray) -> float:
-    correct = sum(alsa_mod.predict_label(model, s, mode, embeddings) == s.label for s in samples)
+    correct = sum(_predict(model, s, mode, embeddings) == s.label for s in samples)
     return correct / len(samples)
 
 
@@ -433,11 +373,15 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
             split_at = max(1, int(len(items) * (1 - config.dev_fraction)))
         else:
             split_at = len(items)
+        # unlike _split_pairs, this permutes the training order even without a dev slice
         order = np.random.default_rng(config.seed + 1).permutation(len(items))
         train_items = [items[i] for i in order[:split_at]]
         dev_items = [items[i] for i in order[split_at:]]
-        log, best_state, best_dev = train_ae_core(model, store, train_items, adam, config.epochs,
-                                                  config.seed, dev_items or None)
+
+        def loss_fn(item):
+            return ae_mod.ae_loss(model, *item)
+
+        dev_key, dev_score = "dev_span_f1", lambda: corpus_span_f1(model, dev_items)
         meta = {"task": "ae", "architecture": "bigru-crf", "domain": config.domain,
                 "hidden": config.ae_hidden, "embedding_dim": vocab.dim,
                 "transfer_dim": 2 * config.ae_hidden, "seed": config.seed}
@@ -445,9 +389,14 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
         pairs = _multitask_items(train_set, vocab)
         model = alsa_mod.MultitaskModel.create(store, embeddings, shared_hidden=config.ae_hidden,
                                                alsa_hidden=config.alsa_hidden, rng=rng)
-        train_pairs, dev_pairs = _split_pairs(pairs, config.dev_fraction, config.seed + 1)
-        log, best_state, best_dev = train_multitask_core(model, store, train_pairs, adam,
-                                                         config.epochs, config.seed, dev_pairs or None)
+        train_items, dev_items = _split_pairs(pairs, config.dev_fraction, config.seed + 1)
+        dev_samples = [sample for sample, _ in dev_items]
+
+        def loss_fn(item):
+            sample, bio = item
+            return alsa_mod.multitask_loss(model, sample.token_ids, bio, sample.span, sample.label)
+
+        dev_key, dev_score = "dev_macro_f1", lambda: _dev_macro_f1(model, dev_samples, InputMode.plain(), embeddings)
         meta = {"task": "multitask", "architecture": "multitask", "domain": config.domain,
                 "shared_hidden": config.ae_hidden, "alsa_hidden": config.alsa_hidden,
                 "embedding_dim": vocab.dim, "seed": config.seed}
@@ -456,15 +405,20 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
         d_in = vocab.dim + (config.transfer_dim if config.input_mode != "plain" else 0)
         model = alsa_mod.create_alsa_model(store, config.architecture, d_in=d_in,
                                            hidden=config.alsa_hidden, rng=rng)
-        train_samples, dev_samples = stratified_dev_split(train_set.samples, config.dev_fraction,
-                                                          config.seed + 1)
-        log, best_state, best_dev = train_alsa_core(model, store, train_samples, mode, embeddings,
-                                                    adam, config.epochs, config.seed, dev_samples or None)
+        train_items, dev_items = stratified_dev_split(train_set.samples, config.dev_fraction,
+                                                      config.seed + 1)
+
+        def loss_fn(sample):
+            return alsa_mod.alsa_loss(model, sample, mode, embeddings)
+
+        dev_key, dev_score = "dev_macro_f1", lambda: _dev_macro_f1(model, dev_items, mode, embeddings)
         meta = {"task": "alsa", "architecture": config.architecture, "domain": config.domain,
                 "input_mode": config.input_mode, "transfer_dim": config.transfer_dim if config.input_mode != "plain" else 0,
                 "hidden": config.alsa_hidden, "embedding_dim": vocab.dim, "d_in": d_in,
                 "seed": config.seed, "noise_seed": config.seed, "ae_domain": config.ae_domain}
 
+    log, best_state, best_dev = fit(store, train_items, loss_fn, adam, config.epochs, config.seed,
+                                    dev_key, dev_score if dev_items else None)
     result = TrainResult(store, model, log, best_state, store.state_dict(), best_dev, meta)
     if config.checkpoint_dir:
         outdir = Path(config.checkpoint_dir)
@@ -529,10 +483,7 @@ def evaluate_samples(model, samples: Sequence[AlsaSample], mode: InputMode,
     """MetricsReport over samples, with class-wise and SA/MA slices."""
     if not samples:
         raise ValueError("evaluate_samples requires at least one sample")
-    if isinstance(model, alsa_mod.MultitaskModel):
-        preds = [int(np.argmax(alsa_mod.multitask_forward(model, s.token_ids, s.span)[1].data)) for s in samples]
-    else:
-        preds = [alsa_mod.predict_label(model, s, mode, embeddings) for s in samples]
+    preds = [_predict(model, s, mode, embeddings) for s in samples]
     golds = [s.label for s in samples]
     report = macro_f1(preds, golds)
     if slices:
@@ -575,7 +526,7 @@ def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndar
 # -- grid search --------------------------------------------------------------------------
 
 
-def grid_search(config: ExperimentConfig, grid: dict[str, list], workers: int = 1,
+def grid_search(config: ExperimentConfig, grid: dict[str, list],
                 st_source: dict[str, np.ndarray] | None = None) -> list[dict]:
     """Train one run per Cartesian grid point; rank by dev macro F1.
 
@@ -589,7 +540,8 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list], workers: int = 
     for key in keys:
         points = [dict(p, **{key: v}) for p in points for v in grid[key]]
 
-    def run(point: dict) -> dict:
+    rows = []
+    for point in points:
         row: dict = {"params": point}
         try:
             coerced = _coerce_fields(point)
@@ -601,13 +553,7 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list], workers: int = 
             row["best_checkpoint"] = str(result.best_checkpoint) if result.best_checkpoint else None
         except Exception as err:  # recorded, not fatal to the sweep
             row["error"] = f"{type(err).__name__}: {err}"
-        return row
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, points))
-    else:
-        rows = [run(p) for p in points]
+        rows.append(row)
 
     def sort_key(row: dict):
         dev = row.get("dev_macro_f1")

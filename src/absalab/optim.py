@@ -94,15 +94,24 @@ class ParamStore:
         return {name: e.tensor.data.copy() for name, e in self._entries.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
-        """Overwrite parameter values in place; shapes must match."""
-        for name, arr in values.items():
+        """Overwrite every parameter value in place.
+
+        The name set must equal the store's and every shape must match;
+        nothing is written unless all entries pass.
+        """
+        for name in values:
             if name not in self._entries:
                 raise KeyError(f"unknown parameter {name!r}")
-            dst = self._entries[name].tensor.data
-            arr = np.asarray(arr)
-            if arr.shape != dst.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {dst.shape}")
-            dst[...] = arr
+        arrays = {}
+        for name, entry in self._entries.items():
+            if name not in values:
+                raise KeyError(f"missing parameter {name!r}")
+            arr = np.asarray(values[name])
+            if arr.shape != entry.tensor.data.shape:
+                raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {entry.tensor.data.shape}")
+            arrays[name] = arr
+        for name, arr in arrays.items():
+            self._entries[name].tensor.data[...] = arr
 
 
 def forward_backward(store: ParamStore, loss_fn) -> float:

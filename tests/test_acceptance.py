@@ -35,8 +35,6 @@ from absalab.harness import (
     load_domain,
     majority_report,
     train,
-    train_ae_core,
-    train_alsa_core,
     training_accuracy,
     corpus_span_f1,
 )

@@ -60,6 +60,15 @@ def test_truncated_archive_rejected(tmp_path):
         load_archive(tmp_path / "cut.ckpt")
 
 
+def test_extent_product_does_not_wrap(tmp_path):
+    # 65536**4 == 2**64 wraps to 0 in int64 and would read as an empty entry
+    header = MAGIC + bytes([1]) + (1).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"x" + bytes([4])
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(header + (65536).to_bytes(4, "little") * 4)
+    with pytest.raises(ValueError, match="truncated values for entry 'x'"):
+        load_archive(path)
+
+
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_archive(path, {"w": np.zeros(2, dtype=np.float32)})

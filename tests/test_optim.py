@@ -25,6 +25,19 @@ def test_duplicate_parameter_names_rejected():
         store.param("w", np.zeros(2))
 
 
+def test_load_values_requires_exact_names_and_writes_nothing_on_error():
+    store = ParamStore()
+    store.param("a", np.zeros(2))
+    store.param("b", np.zeros(3))
+    with pytest.raises(KeyError, match="missing parameter 'b'"):
+        store.load_values({"a": np.ones(2)})
+    with pytest.raises(KeyError, match="unknown parameter 'c'"):
+        store.load_values({"a": np.ones(2), "b": np.ones(3), "c": np.ones(1)})
+    with pytest.raises(ValueError, match="shape mismatch for 'b'"):
+        store.load_values({"a": np.ones(2), "b": np.ones(4)})
+    npt.assert_array_equal(store.value("a"), np.zeros(2))
+
+
 def test_forward_backward_populates_touched_and_untouched():
     store = ParamStore()
     a = store.param("a", np.array([1.0, 2.0]))
