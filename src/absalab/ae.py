@@ -38,11 +38,10 @@ class AspectSpan:
 class AeModel:
     """BiGRU-CRF tagger over a fixed embedding table."""
 
-    embeddings: np.ndarray | Tensor
+    embeddings: np.ndarray
     gru_fwd: GruCellParams
     gru_bwd: GruCellParams
     crf: crf.CrfParams
-    fine_tune_embeddings: bool = False
 
     @property
     def transfer_dim(self) -> int:
@@ -51,18 +50,14 @@ class AeModel:
     @classmethod
     def create(cls, store: ParamStore, embedding_matrix, hidden_dim: int = 32,
                rng: np.random.Generator | None = None, dtype=np.float32,
-               fine_tune_embeddings: bool = False, name: str = "ae") -> "AeModel":
+               name: str = "ae") -> "AeModel":
         rng = rng if rng is not None else np.random.default_rng(0)
         matrix = np.asarray(embedding_matrix, dtype=dtype)
-        if fine_tune_embeddings:
-            embeddings: np.ndarray | Tensor = store.param(f"{name}/embeddings", matrix)
-        else:
-            embeddings = matrix
         d = matrix.shape[1]
         fwd = GruCellParams.create(store, f"{name}/gru_fwd", d, hidden_dim, rng, dtype)
         bwd = GruCellParams.create(store, f"{name}/gru_bwd", d, hidden_dim, rng, dtype)
         params = crf.CrfParams.create(store, f"{name}/crf", 2 * hidden_dim, rng, dtype)
-        return cls(embeddings, fwd, bwd, params, fine_tune_embeddings)
+        return cls(matrix, fwd, bwd, params)
 
 
 def ae_forward(model: AeModel, token_ids: Sequence[int]) -> tuple[Tensor, Tensor]:

@@ -18,19 +18,16 @@ import numpy as np
 
 from . import autograd as ag
 from . import crf as crf_mod
-from .ae import AspectSpan
+from .ae import AeModel, AspectSpan, ae_forward
 from .autograd import Tensor, sample_standard_normal
 from .layers import (
     AttentionParams,
-    GruCellParams,
     HeadParams,
     LstmCellParams,
     additive_attention,
     append_to_rows,
     classify,
-    embed,
     max_pool_rows,
-    run_bigru,
     run_lstm,
 )
 from .optim import ParamStore
@@ -280,46 +277,31 @@ def predict_label(model: AlsaModel, sample: AlsaSample, mode: InputMode, embeddi
 
 @dataclass
 class MultitaskModel:
-    """Shared BiGRU encoder feeding a CRF tagging head and an ATAE head."""
+    """The BiGRU-CRF tagger with an ATAE head on its shared BiGRU encoding.
+
+    The ATAE head reads the tagger's per-token states (width
+    2 * shared_hidden) in place of word vectors; one loss sums both tasks.
+    """
 
     architecture: ClassVar[str] = "multitask"
-    embeddings: np.ndarray
-    gru_fwd: GruCellParams
-    gru_bwd: GruCellParams
-    crf: crf_mod.CrfParams
-    lstm: LstmCellParams
-    attention: AttentionParams
-    head: HeadParams
+    tagger: AeModel
+    sentiment: AtaeModel
 
     @classmethod
     def create(cls, store: ParamStore, embedding_matrix, shared_hidden: int = 32,
                alsa_hidden: int = 128, rng: np.random.Generator | None = None,
                dtype=np.float32, name: str = "multitask") -> "MultitaskModel":
         rng = rng if rng is not None else np.random.default_rng(0)
-        matrix = np.asarray(embedding_matrix, dtype=dtype)
-        d = matrix.shape[1]
-        shared_out = 2 * shared_hidden
-        return cls(
-            matrix,
-            GruCellParams.create(store, f"{name}/gru_fwd", d, shared_hidden, rng, dtype),
-            GruCellParams.create(store, f"{name}/gru_bwd", d, shared_hidden, rng, dtype),
-            crf_mod.CrfParams.create(store, f"{name}/crf", shared_out, rng, dtype),
-            LstmCellParams.create(store, f"{name}/lstm", 2 * shared_out, alsa_hidden, rng, dtype),
-            AttentionParams.create(store, f"{name}/attention", alsa_hidden, shared_out, rng, dtype=dtype),
-            HeadParams.create(store, f"{name}/head", alsa_hidden, NUM_CLASSES, rng, dtype),
-        )
+        tagger = AeModel.create(store, embedding_matrix, shared_hidden, rng, dtype, name=name)
+        sentiment = create_alsa_model(store, "atae", 2 * shared_hidden, alsa_hidden, rng, dtype, name=name)
+        return cls(tagger, sentiment)
 
 
 def multitask_forward(model: MultitaskModel, token_ids: Sequence[int],
                       span: AspectSpan) -> tuple[Tensor, Tensor, Tensor]:
     """Both heads over the shared encoding; returns (emissions, logits, alpha)."""
-    words = embed(token_ids, model.embeddings)
-    shared = run_bigru(words, model.gru_fwd, model.gru_bwd)
-    emissions = shared @ model.crf.emission_weight + model.crf.emission_bias
-    a = aspect_mean(shared[span.start : span.end + 1])
-    states, _ = run_lstm(append_to_rows(shared, a), model.lstm, "forward")
-    alpha, pooled = additive_attention(states, a, model.attention)
-    logits = classify(pooled, model.head)
+    emissions, shared = ae_forward(model.tagger, token_ids)
+    logits, alpha = atae_forward(model.sentiment, shared, span)
     return emissions, logits, alpha
 
 
@@ -327,7 +309,7 @@ def multitask_loss(model: MultitaskModel, token_ids: Sequence[int], gold_bio: Se
                    span: AspectSpan, label: int) -> Tensor:
     """Equal-weight sum of the CRF tagging loss and the classification loss."""
     emissions, logits, _ = multitask_forward(model, token_ids, span)
-    return crf_mod.nll(emissions, gold_bio, model.crf) + ag.cross_entropy(logits, label)
+    return crf_mod.nll(emissions, gold_bio, model.tagger.crf) + ag.cross_entropy(logits, label)
 
 
 # -- majority baseline ----------------------------------------------------------------

@@ -467,15 +467,6 @@ def _is_fancy(key) -> bool:
     return False
 
 
-def rows(t: Tensor, ids: Sequence[int]) -> Tensor:
-    """Gather rows by index; scatter-adds on the way back."""
-    t = _wrap(t)
-    ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= t.data.shape[0]):
-        raise IndexError(f"row id out of range [0, {t.data.shape[0]}): {ids}")
-    return take(t, ids)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [_wrap(t) for t in tensors]
     if not ts:

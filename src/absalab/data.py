@@ -309,21 +309,21 @@ def write_dataset_cache(path, dataset: Dataset) -> None:
     char_start, char_end), bio (list or null), and samples (span start/end,
     label, polarity name). Field-by-field documentation lives in the README.
     """
+    samples_by_sentence: dict[str, list[dict]] = {}
+    for s in dataset.samples:
+        samples_by_sentence.setdefault(s.sentence_id, []).append(
+            {"start": s.span.start, "end": s.span.end, "label": s.label,
+             "polarity": ("positive", "negative", "neutral")[s.label]}
+        )
     with open(path, "w", encoding="utf-8") as fh:
         for sent in dataset.sentences:
-            samples = [
-                {"start": s.span.start, "end": s.span.end, "label": s.label,
-                 "polarity": ("positive", "negative", "neutral")[s.label]}
-                for s in dataset.samples
-                if s.sentence_id == sent.sentence_id
-            ]
             record = {
                 "sentence_id": sent.sentence_id,
                 "domain": sent.domain,
                 "text": sent.text,
                 "tokens": [[t.text, t.char_start, t.char_end] for t in sent.tokens],
                 "bio": sent.bio,
-                "samples": samples,
+                "samples": samples_by_sentence.get(sent.sentence_id, []),
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 

@@ -332,16 +332,6 @@ def dataset_sentence_ids(dataset: Dataset, vocab: Vocabulary) -> list[tuple[str,
     return [(s.sentence_id, vocab.ids(t.text for t in s.tokens)) for s in dataset.sentences]
 
 
-def make_input_mode(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = None) -> InputMode:
-    if config.input_mode == "plain":
-        return InputMode.plain()
-    if config.input_mode == "noise":
-        return InputMode.noise(config.transfer_dim, seed=config.seed)
-    if st_source is None:
-        raise ConfigError("transfer mode needs cached transfer rows (st_cache_path or an AE export)")
-    return InputMode.transfer(st_source, config.transfer_dim)
-
-
 # -- file-based orchestration ----------------------------------------------------------
 
 
@@ -360,15 +350,14 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
 
         st_source = load_archive(config.st_cache_path)
     adam = AdamConfig(lr=config.lr, l2_lambda=config.l2_lambda) if config.lr > 0 else None
-    rng = np.random.default_rng(config.seed)
-    store = ParamStore()
     embeddings = vocab.matrix
 
+    # Each branch sets its items, loss, dev scorer and meta; the model and
+    # input mode are then built from meta, exactly as load_model rebuilds them.
     if config.task == "ae":
         items = [(vocab.ids(t.text for t in s.tokens), s.bio) for s in train_set.sentences if s.bio and s.tokens]
         if not items:
             raise ConfigError("no sentences with tagging gold in the training data")
-        model: object = ae_mod.AeModel.create(store, embeddings, hidden_dim=config.ae_hidden, rng=rng)
         if config.dev_fraction > 0 and len(items) > 1:
             split_at = max(1, int(len(items) * (1 - config.dev_fraction)))
         else:
@@ -387,8 +376,6 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
                 "transfer_dim": 2 * config.ae_hidden, "seed": config.seed}
     elif config.task == "multitask":
         pairs = _multitask_items(train_set, vocab)
-        model = alsa_mod.MultitaskModel.create(store, embeddings, shared_hidden=config.ae_hidden,
-                                               alsa_hidden=config.alsa_hidden, rng=rng)
         train_items, dev_items = _split_pairs(pairs, config.dev_fraction, config.seed + 1)
         dev_samples = [sample for sample, _ in dev_items]
 
@@ -396,15 +383,12 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
             sample, bio = item
             return alsa_mod.multitask_loss(model, sample.token_ids, bio, sample.span, sample.label)
 
-        dev_key, dev_score = "dev_macro_f1", lambda: _dev_macro_f1(model, dev_samples, InputMode.plain(), embeddings)
+        dev_key, dev_score = "dev_macro_f1", lambda: _dev_macro_f1(model, dev_samples, mode, embeddings)
         meta = {"task": "multitask", "architecture": "multitask", "domain": config.domain,
                 "shared_hidden": config.ae_hidden, "alsa_hidden": config.alsa_hidden,
                 "embedding_dim": vocab.dim, "seed": config.seed}
     else:
-        mode = make_input_mode(config, st_source)
         d_in = vocab.dim + (config.transfer_dim if config.input_mode != "plain" else 0)
-        model = alsa_mod.create_alsa_model(store, config.architecture, d_in=d_in,
-                                           hidden=config.alsa_hidden, rng=rng)
         train_items, dev_items = stratified_dev_split(train_set.samples, config.dev_fraction,
                                                       config.seed + 1)
 
@@ -417,6 +401,9 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
                 "hidden": config.alsa_hidden, "embedding_dim": vocab.dim, "d_in": d_in,
                 "seed": config.seed, "noise_seed": config.seed, "ae_domain": config.ae_domain}
 
+    store = ParamStore()
+    model = build_model_from_meta(store, meta, embeddings)
+    mode = input_mode_from_meta(meta, st_source)
     log, best_state, best_dev = fit(store, train_items, loss_fn, adam, config.epochs, config.seed,
                                     dev_key, dev_score if dev_items else None)
     result = TrainResult(store, model, log, best_state, store.state_dict(), best_dev, meta)
@@ -474,7 +461,10 @@ def load_model(checkpoint_path, embeddings: np.ndarray,
         )
     store = ParamStore()
     model = build_model_from_meta(store, meta, embeddings)
-    store.load_values(values)
+    try:
+        store.load_values(values)
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{checkpoint_path}: {err.args[0]}") from None
     return model, store, meta
 
 
@@ -517,7 +507,7 @@ def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndar
     model, _, meta = load_model(checkpoint_path, embeddings, expected_architecture)
     if meta.get("task") == "ae":
         raise ValueError("evaluate scores sentiment checkpoints; tagging models are scored by span F1")
-    mode = InputMode.plain() if meta.get("task") == "multitask" else input_mode_from_meta(meta, st_source)
+    mode = input_mode_from_meta(meta, st_source)
     report = evaluate_samples(model, samples, mode, embeddings)
     report.extras["architecture"] = meta.get("architecture")
     return report

@@ -136,19 +136,8 @@ class HeadParams:
 
 
 def embed(token_ids, embedding_matrix) -> Tensor:
-    """Look up one embedding row per token id.
-
-    Accepts a plain array (frozen embeddings) or a parameter tensor, in
-    which case gradients scatter back into the rows that were used.
-    """
+    """Look up one embedding row per token id in a frozen embedding table."""
     ids = np.asarray(token_ids, dtype=np.intp)
-    if isinstance(embedding_matrix, Tensor):
-        vocab = embedding_matrix.data.shape[0]
-        if ids.size and (ids.min() < 0 or ids.max() >= vocab):
-            raise IndexError(f"token id out of range [0, {vocab})")
-        if embedding_matrix.requires_grad:
-            return ag.rows(embedding_matrix, ids)
-        return Tensor(embedding_matrix.data[ids])
     matrix = np.asarray(embedding_matrix)
     if ids.size and (ids.min() < 0 or ids.max() >= matrix.shape[0]):
         raise IndexError(f"token id out of range [0, {matrix.shape[0]})")

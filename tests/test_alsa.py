@@ -262,7 +262,7 @@ def test_multitask_joint_loss_is_sum_of_parts():
     bio = ["O", "B", "I", "O"]
     span = AspectSpan(1, 2)
     emissions, logits, alpha = multitask_forward(model, ids, span)
-    separate = crf_nll(emissions, bio, model.crf).item() + ag.cross_entropy(logits, 1).item()
+    separate = crf_nll(emissions, bio, model.tagger.crf).item() + ag.cross_entropy(logits, 1).item()
     joint = multitask_loss(model, ids, bio, span, 1).item()
     assert joint == pytest.approx(separate, abs=1e-9)
     assert abs(alpha.data.sum() - 1.0) < 1e-6
@@ -275,7 +275,7 @@ def test_multitask_shared_encoder_gets_gradient_from_either_head():
     span = AspectSpan(1, 2)
     shared_names = [n for n in store.names() if "gru" in n]
 
-    forward_backward(store, lambda: crf_nll(multitask_forward(model, ids, span)[0], bio, model.crf))
+    forward_backward(store, lambda: crf_nll(multitask_forward(model, ids, span)[0], bio, model.tagger.crf))
     tagging_grads = sum(np.abs(store.gradient(n)).sum() for n in shared_names)
     forward_backward(store, lambda: ag.cross_entropy(multitask_forward(model, ids, span)[1], 0))
     sentiment_grads = sum(np.abs(store.gradient(n)).sum() for n in shared_names)

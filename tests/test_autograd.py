@@ -96,18 +96,12 @@ def test_broadcast_add_unbroadcasts_gradient(rng):
 
 def test_take_accumulates_duplicate_rows(rng):
     m = leaf(rng.normal(size=(5, 2)))
-    picked = ag.rows(m, [2, 2, 0])
+    picked = m[[2, 2, 0]]
     picked.sum().backward()
     expected = np.zeros((5, 2))
     expected[2] = 2.0
     expected[0] = 1.0
     npt.assert_array_equal(m.grad, expected)
-
-
-def test_rows_out_of_range_is_an_error():
-    m = Tensor(np.zeros((3, 2)))
-    with pytest.raises(IndexError):
-        ag.rows(m, [0, 3])
 
 
 def test_concat_and_stack_split_gradients(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -204,9 +205,41 @@ def test_load_model_rejects_checkpoint_missing_a_parameter(tmp_path):
     values = store.state_dict()
     del values["alsa/attention/bias"]
     meta = {"task": "alsa", "architecture": "atae", "d_in": 4, "hidden": 3, "seed": 0}
-    save_checkpoint(tmp_path / "partial.ckpt", values, meta)
-    with pytest.raises(KeyError, match="missing parameter 'alsa/attention/bias'"):
-        load_model(tmp_path / "partial.ckpt", np.zeros((2, 4), dtype=np.float32))
+    path = tmp_path / "partial.ckpt"
+    save_checkpoint(path, values, meta)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing parameter 'alsa/attention/bias'")):
+        load_model(path, np.zeros((2, 4), dtype=np.float32))
+
+
+GRU = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset", "w_cand", "u_cand", "b_cand")
+LSTM = ("w_in", "u_in", "b_in", "w_forget", "u_forget", "b_forget",
+        "w_out", "u_out", "b_out", "w_cell", "u_cell", "b_cell")
+CRF = ("emission_weight", "emission_bias", "transitions", "start", "end")
+ATTENTION = ("proj", "bias", "score")
+HEAD = ("weight", "bias")
+
+
+def _scoped(scope: str, *layers: tuple[str, tuple[str, ...]]) -> list[str]:
+    return [f"{scope}/{layer}/{field}" for layer, fields in layers for field in fields]
+
+
+# The entry names and their order are part of the checkpoint format.
+CHECKPOINT_NAMES = {
+    "ae": _scoped("ae", ("gru_fwd", GRU), ("gru_bwd", GRU), ("crf", CRF)),
+    "tclstm": _scoped("alsa", ("lstm_left", LSTM), ("lstm_right", LSTM), ("head", HEAD)),
+    "atae": _scoped("alsa", ("lstm", LSTM), ("attention", ATTENTION), ("head", HEAD)),
+    "ian": _scoped("alsa", ("lstm_aspect", LSTM), ("lstm_sentence", LSTM), ("attn_aspect", ATTENTION),
+                   ("attn_sentence", ATTENTION), ("head", HEAD)),
+    "multitask": _scoped("multitask", ("gru_fwd", GRU), ("gru_bwd", GRU), ("crf", CRF), ("lstm", LSTM),
+                         ("attention", ATTENTION), ("head", HEAD)),
+}
+
+
+@pytest.mark.parametrize("model", sorted(CHECKPOINT_NAMES))
+def test_checkpoint_parameter_names_are_pinned(model, fixtures_dir, tmp_path):
+    task = model if model in ("ae", "multitask") else "alsa"
+    result = train(tiny_config(fixtures_dir, tmp_path, task=task, architecture=model, epochs=0))
+    assert list(load_archive(result.final_checkpoint)) == CHECKPOINT_NAMES[model]
 
 
 def test_loaded_model_reproduces_training_predictions(fixtures_dir, tmp_path):

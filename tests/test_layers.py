@@ -60,17 +60,6 @@ def test_embed_out_of_range_errors():
         embed([3], np.zeros((3, 2)))
 
 
-def test_embed_gradients_scatter_into_parameter_rows():
-    store = ParamStore()
-    table = store.param("emb", np.ones((4, 2)))
-    out = embed([1, 1, 3], table)
-    out.sum().backward()
-    expected = np.zeros((4, 2))
-    expected[1] = 2.0
-    expected[3] = 1.0
-    npt.assert_array_equal(table.grad, expected)
-
-
 # -- GRU --------------------------------------------------------------------------
 
 
