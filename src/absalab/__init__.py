@@ -7,43 +7,4 @@ per-token representations onto classifier inputs, together with noise
 and multi-task ablations, a majority baseline, and a macro-F1 harness.
 """
 
-from .ae import AeModel, AspectSpan, ae_forward, ae_loss, ae_span_f1, decode_spans, encode_spans, export_transfer
-from .alsa import (
-    AlsaSample,
-    AtaeModel,
-    IanModel,
-    InputMode,
-    MultitaskModel,
-    TcLstmModel,
-    alsa_forward,
-    aspect_mean,
-    atae_forward,
-    build_input,
-    create_alsa_model,
-    ian_forward,
-    majority_predict,
-    multitask_forward,
-    tclstm_forward,
-)
-from .autograd import ShapeError, Tensor, sample_standard_normal, tensor
-from .crf import CrfParams, brute_force_oracle, log_partition, nll, path_score, viterbi
-from .data import Vocabulary, align_bio, load_embeddings, parse_semeval, split_sa_ma, tokenize
-from .harness import ExperimentConfig, cross_domain_run, dump_attention, evaluate, grid_search, train
-from .metrics import MetricsReport, macro_f1
-from .optim import AdamConfig, ParamStore, adam_step, forward_backward, grad_check
-
-__all__ = [
-    "AdamConfig", "AeModel", "AlsaSample", "AspectSpan", "AtaeModel", "CrfParams",
-    "ExperimentConfig", "IanModel", "InputMode", "MetricsReport", "MultitaskModel",
-    "ParamStore", "ShapeError", "TcLstmModel", "Tensor", "Vocabulary",
-    "adam_step", "ae_forward", "ae_loss", "ae_span_f1", "align_bio", "alsa_forward",
-    "aspect_mean", "atae_forward", "brute_force_oracle", "build_input",
-    "create_alsa_model", "cross_domain_run", "decode_spans", "dump_attention",
-    "encode_spans", "evaluate", "export_transfer", "forward_backward", "grad_check",
-    "grid_search", "ian_forward", "load_embeddings", "log_partition", "macro_f1",
-    "majority_predict", "multitask_forward", "nll", "parse_semeval", "path_score",
-    "sample_standard_normal", "split_sa_ma", "tclstm_forward", "tensor", "tokenize",
-    "train", "viterbi",
-]
-
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import crf
 from .autograd import Tensor
-from .layers import GruCellParams, embed, run_bigru
+from .layers import GRU, CellParams, embed, run_bigru
 from .optim import ParamStore
 
 
@@ -39,8 +39,8 @@ class AeModel:
     """BiGRU-CRF tagger over a fixed embedding table."""
 
     embeddings: np.ndarray
-    gru_fwd: GruCellParams
-    gru_bwd: GruCellParams
+    gru_fwd: CellParams
+    gru_bwd: CellParams
     crf: crf.CrfParams
 
     @property
@@ -54,8 +54,8 @@ class AeModel:
         rng = rng if rng is not None else np.random.default_rng(0)
         matrix = np.asarray(embedding_matrix, dtype=dtype)
         d = matrix.shape[1]
-        fwd = GruCellParams.create(store, f"{name}/gru_fwd", d, hidden_dim, rng, dtype)
-        bwd = GruCellParams.create(store, f"{name}/gru_bwd", d, hidden_dim, rng, dtype)
+        fwd = CellParams.create(store, f"{name}/gru_fwd", d, hidden_dim, rng, GRU, dtype)
+        bwd = CellParams.create(store, f"{name}/gru_bwd", d, hidden_dim, rng, GRU, dtype)
         params = crf.CrfParams.create(store, f"{name}/crf", 2 * hidden_dim, rng, dtype)
         return cls(matrix, fwd, bwd, params)
 

@@ -21,9 +21,10 @@ from . import crf as crf_mod
 from .ae import AeModel, AspectSpan, ae_forward
 from .autograd import Tensor, sample_standard_normal
 from .layers import (
+    LSTM,
     AttentionParams,
+    CellParams,
     HeadParams,
-    LstmCellParams,
     additive_attention,
     append_to_rows,
     classify,
@@ -137,8 +138,8 @@ class TcLstmModel:
     architecture: ClassVar[str] = "tclstm"
     d_in: int
     hidden: int
-    lstm_left: LstmCellParams
-    lstm_right: LstmCellParams
+    lstm_left: CellParams
+    lstm_right: CellParams
     head: HeadParams
 
 
@@ -149,7 +150,7 @@ class AtaeModel:
     architecture: ClassVar[str] = "atae"
     d_in: int
     hidden: int
-    lstm: LstmCellParams
+    lstm: CellParams
     attention: AttentionParams
     head: HeadParams
 
@@ -161,8 +162,8 @@ class IanModel:
     architecture: ClassVar[str] = "ian"
     d_in: int
     hidden: int
-    lstm_aspect: LstmCellParams
-    lstm_sentence: LstmCellParams
+    lstm_aspect: CellParams
+    lstm_sentence: CellParams
     attn_aspect: AttentionParams
     attn_sentence: AttentionParams
     head: HeadParams
@@ -180,22 +181,22 @@ def create_alsa_model(store: ParamStore, architecture: str, d_in: int, hidden: i
     if architecture == "tclstm":
         return TcLstmModel(
             d_in, hidden,
-            LstmCellParams.create(store, f"{name}/lstm_left", 2 * d_in, hidden, rng, dtype),
-            LstmCellParams.create(store, f"{name}/lstm_right", 2 * d_in, hidden, rng, dtype),
+            CellParams.create(store, f"{name}/lstm_left", 2 * d_in, hidden, rng, LSTM, dtype),
+            CellParams.create(store, f"{name}/lstm_right", 2 * d_in, hidden, rng, LSTM, dtype),
             HeadParams.create(store, f"{name}/head", 2 * hidden, NUM_CLASSES, rng, dtype),
         )
     if architecture == "atae":
         return AtaeModel(
             d_in, hidden,
-            LstmCellParams.create(store, f"{name}/lstm", 2 * d_in, hidden, rng, dtype),
+            CellParams.create(store, f"{name}/lstm", 2 * d_in, hidden, rng, LSTM, dtype),
             AttentionParams.create(store, f"{name}/attention", hidden, d_in, rng, dtype=dtype),
             HeadParams.create(store, f"{name}/head", hidden, NUM_CLASSES, rng, dtype),
         )
     if architecture == "ian":
         return IanModel(
             d_in, hidden,
-            LstmCellParams.create(store, f"{name}/lstm_aspect", d_in, hidden, rng, dtype),
-            LstmCellParams.create(store, f"{name}/lstm_sentence", d_in, hidden, rng, dtype),
+            CellParams.create(store, f"{name}/lstm_aspect", d_in, hidden, rng, LSTM, dtype),
+            CellParams.create(store, f"{name}/lstm_sentence", d_in, hidden, rng, LSTM, dtype),
             AttentionParams.create(store, f"{name}/attn_aspect", hidden, hidden, rng, dtype=dtype),
             AttentionParams.create(store, f"{name}/attn_sentence", hidden, hidden, rng, dtype=dtype),
             HeadParams.create(store, f"{name}/head", 2 * hidden, NUM_CLASSES, rng, dtype),

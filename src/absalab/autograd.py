@@ -103,9 +103,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -131,10 +128,6 @@ class Tensor:
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     """Create a leaf tensor; the data array is copied."""
     return Tensor(np.array(data, dtype=dtype), requires_grad=requires_grad)
-
-
-def zeros(shape, dtype=np.float32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
 
 
 def sample_standard_normal(rows: int, cols: int, seed: int, dtype=np.float32) -> Tensor:
@@ -238,21 +231,6 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a = _wrap(a)
-    b = _wrap(b, a.dtype)
-    try:
-        data = a.data / b.data
-    except ValueError:
-        raise ShapeError("div", a.shape, b.shape) from None
-
-    def backward(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(data, (a, b), backward)
-
-
 def matmul(a, b) -> Tensor:
     """Matrix product covering the 1-D/2-D combinations numpy allows."""
     a, b = _wrap(a), _wrap(b)
@@ -302,27 +280,6 @@ def sigmoid(t: Tensor) -> Tensor:
 
     def backward(g):
         _accumulate(t, g * data * (1.0 - data))
-
-    return _node(data, (t,), backward)
-
-
-def exp(t: Tensor) -> Tensor:
-    t = _wrap(t)
-    data = np.exp(t.data)
-
-    def backward(g):
-        _accumulate(t, g * data)
-
-    return _node(data, (t,), backward)
-
-
-def log(t: Tensor) -> Tensor:
-    t = _wrap(t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(t.data)
-
-    def backward(g):
-        _accumulate(t, g / t.data)
 
     return _node(data, (t,), backward)
 
@@ -449,12 +406,14 @@ def take(t: Tensor, key) -> Tensor:
     fancy = _is_fancy(key)
 
     def backward(g):
-        gg = np.zeros_like(t.data)
         if fancy:
+            gg = np.zeros_like(t.data)
             np.add.at(gg, key, g)
-        else:
-            gg[key] += g
-        _accumulate(t, gg)
+            _accumulate(t, gg)
+            return
+        if t.grad is None:  # a basic key selects a view: add into it in place
+            t.grad = np.zeros_like(t.data)
+        t.grad[key] += g
 
     return _node(np.asarray(data), (t,), backward)
 

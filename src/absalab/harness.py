@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown input mode {self.input_mode!r}")
         if self.task == "alsa" and self.architecture not in alsa_mod.ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
+        if self.task != "alsa" and self.input_mode != "plain":
+            raise ConfigError(f"task {self.task!r} takes only plain input, got input mode {self.input_mode!r}")
         # lr = 0 is allowed as the degenerate "no update" run; negative is not.
         if self.lr < 0:
             raise ConfigError(f"lr must be non-negative, got {self.lr}")
@@ -74,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError(f"l2_lambda must be non-negative, got {self.l2_lambda}")
         if not 0 <= self.dev_fraction < 1:
             raise ConfigError(f"dev_fraction must lie in [0, 1), got {self.dev_fraction}")
-        if self.input_mode == "transfer" and self.task == "alsa" and self.ae_domain is None:
+        if self.input_mode == "transfer" and self.ae_domain is None:
             self.ae_domain = self.domain  # in-domain transfer by default
 
     @property

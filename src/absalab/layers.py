@@ -22,76 +22,38 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-@dataclass
-class GruCellParams:
-    """Gate weights for one directional GRU: update, reset, candidate."""
-
-    input_dim: int
-    hidden_dim: int
-    w_update: Tensor
-    u_update: Tensor
-    b_update: Tensor
-    w_reset: Tensor
-    u_reset: Tensor
-    b_reset: Tensor
-    w_cand: Tensor
-    u_cand: Tensor
-    b_cand: Tensor
-
-    @classmethod
-    def create(cls, store: ParamStore, name: str, input_dim: int, hidden_dim: int,
-               rng: np.random.Generator, dtype=np.float32) -> "GruCellParams":
-        def w(gate):
-            return store.param(f"{name}/w_{gate}", glorot_uniform(rng, (input_dim, hidden_dim), input_dim, hidden_dim, dtype))
-
-        def u(gate):
-            return store.param(f"{name}/u_{gate}", glorot_uniform(rng, (hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype))
-
-        def b(gate):
-            return store.param(f"{name}/b_{gate}", np.zeros(hidden_dim, dtype=dtype))
-
-        return cls(input_dim, hidden_dim,
-                   w("update"), u("update"), b("update"),
-                   w("reset"), u("reset"), b("reset"),
-                   w("cand"), u("cand"), b("cand"))
+# Initial bias of each gate, in the gate order of `gru_step` and `lstm_step`.
+GRU = (0.0, 0.0, 0.0)  # update, reset, candidate
+LSTM = (0.0, 1.0, 0.0, 0.0)  # in, forget (starts at 1.0), out, cell
 
 
 @dataclass
-class LstmCellParams:
-    """Gate weights for one directional LSTM; forget bias starts at 1.0."""
+class CellParams:
+    """Weights of one directional recurrent cell, stacked gate by gate.
+
+    `w` is gates x input_dim x hidden_dim, `u` gates x hidden_dim x
+    hidden_dim and `b` gates x hidden_dim, so each gate's block is one
+    contiguous array and the step functions multiply gate by gate.
+    """
 
     input_dim: int
     hidden_dim: int
-    w_in: Tensor
-    u_in: Tensor
-    b_in: Tensor
-    w_forget: Tensor
-    u_forget: Tensor
-    b_forget: Tensor
-    w_out: Tensor
-    u_out: Tensor
-    b_out: Tensor
-    w_cell: Tensor
-    u_cell: Tensor
-    b_cell: Tensor
+    w: Tensor
+    u: Tensor
+    b: Tensor
 
     @classmethod
     def create(cls, store: ParamStore, name: str, input_dim: int, hidden_dim: int,
-               rng: np.random.Generator, dtype=np.float32) -> "LstmCellParams":
-        def w(gate):
-            return store.param(f"{name}/w_{gate}", glorot_uniform(rng, (input_dim, hidden_dim), input_dim, hidden_dim, dtype))
-
-        def u(gate):
-            return store.param(f"{name}/u_{gate}", glorot_uniform(rng, (hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype))
-
-        def b(gate, value=0.0):
-            return store.param(f"{name}/b_{gate}", np.full(hidden_dim, value, dtype=dtype))
-
-        return cls(input_dim, hidden_dim,
-                   w("in"), u("in"), b("in"),
-                   w("forget"), u("forget"), b("forget", 1.0),
-                   w("out"), u("out"), b("out"),
-                   w("cell"), u("cell"), b("cell"))
+               rng: np.random.Generator, gate_biases: tuple[float, ...], dtype=np.float32) -> "CellParams":
+        # registered empty, then filled gate by gate: no full-size temporary
+        gates = len(gate_biases)
+        w = store.param(f"{name}/w", np.empty((gates, input_dim, hidden_dim), dtype=dtype))
+        u = store.param(f"{name}/u", np.empty((gates, hidden_dim, hidden_dim), dtype=dtype))
+        b = store.param(f"{name}/b", np.repeat(np.asarray(gate_biases, dtype=dtype)[:, None], hidden_dim, axis=1))
+        for k in range(gates):  # per gate: input weights, then recurrent weights
+            w.data[k] = glorot_uniform(rng, (input_dim, hidden_dim), input_dim, hidden_dim, dtype)
+            u.data[k] = glorot_uniform(rng, (hidden_dim, hidden_dim), hidden_dim, hidden_dim, dtype)
+        return cls(input_dim, hidden_dim, w, u, b)
 
 
 @dataclass
@@ -144,24 +106,31 @@ def embed(token_ids, embedding_matrix) -> Tensor:
     return Tensor(matrix[ids])
 
 
-def gru_step(cell: GruCellParams, x: Tensor, h: Tensor) -> Tensor:
-    z = ag.sigmoid(x @ cell.w_update + h @ cell.u_update + cell.b_update)
-    r = ag.sigmoid(x @ cell.w_reset + h @ cell.u_reset + cell.b_reset)
-    cand = ag.tanh(x @ cell.w_cand + (r * h) @ cell.u_cand + cell.b_cand)
+def _gate_blocks(cell: CellParams) -> list[tuple[Tensor, Tensor, Tensor]]:
+    """(w, u, b) of each gate as tape nodes; taken once per sequence."""
+    return [(cell.w[k], cell.u[k], cell.b[k]) for k in range(cell.b.data.shape[0])]
+
+
+def gru_step(gates: list[tuple[Tensor, Tensor, Tensor]], x: Tensor, h: Tensor) -> Tensor:
+    (w_z, u_z, b_z), (w_r, u_r, b_r), (w_c, u_c, b_c) = gates
+    z = ag.sigmoid(x @ w_z + h @ u_z + b_z)
+    r = ag.sigmoid(x @ w_r + h @ u_r + b_r)
+    cand = ag.tanh(x @ w_c + (r * h) @ u_c + b_c)
     return (1.0 - z) * h + z * cand
 
 
-def lstm_step(cell: LstmCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    i = ag.sigmoid(x @ cell.w_in + h @ cell.u_in + cell.b_in)
-    f = ag.sigmoid(x @ cell.w_forget + h @ cell.u_forget + cell.b_forget)
-    o = ag.sigmoid(x @ cell.w_out + h @ cell.u_out + cell.b_out)
-    g = ag.tanh(x @ cell.w_cell + h @ cell.u_cell + cell.b_cell)
+def lstm_step(gates: list[tuple[Tensor, Tensor, Tensor]], x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    (w_i, u_i, b_i), (w_f, u_f, b_f), (w_o, u_o, b_o), (w_g, u_g, b_g) = gates
+    i = ag.sigmoid(x @ w_i + h @ u_i + b_i)
+    f = ag.sigmoid(x @ w_f + h @ u_f + b_f)
+    o = ag.sigmoid(x @ w_o + h @ u_o + b_o)
+    g = ag.tanh(x @ w_g + h @ u_g + b_g)
     c_next = f * c + i * g
     h_next = o * ag.tanh(c_next)
     return h_next, c_next
 
 
-def run_bigru(inputs: Tensor, fwd: GruCellParams, bwd: GruCellParams) -> Tensor:
+def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     """Bidirectional GRU over `inputs` (n x d), zero initial states.
 
     Row i of the output concatenates the forward state after consuming
@@ -175,20 +144,22 @@ def run_bigru(inputs: Tensor, fwd: GruCellParams, bwd: GruCellParams) -> Tensor:
         raise ag.ShapeError("run_bigru", inputs.shape, (fwd.input_dim,), (bwd.input_dim,),
                             detail="input width must match both cells")
     dtype = inputs.data.dtype
+    gates = _gate_blocks(fwd)
     h = Tensor(np.zeros(fwd.hidden_dim, dtype=dtype))
     forward_states = []
     for i in range(n):
-        h = gru_step(fwd, inputs[i], h)
+        h = gru_step(gates, inputs[i], h)
         forward_states.append(h)
+    gates = _gate_blocks(bwd)
     h = Tensor(np.zeros(bwd.hidden_dim, dtype=dtype))
     backward_states: list[Tensor] = [None] * n  # type: ignore[list-item]
     for i in range(n - 1, -1, -1):
-        h = gru_step(bwd, inputs[i], h)
+        h = gru_step(gates, inputs[i], h)
         backward_states[i] = h
     return ag.stack_rows([ag.concat([forward_states[i], backward_states[i]]) for i in range(n)])
 
 
-def run_lstm(inputs: Tensor, cell: LstmCellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
+def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
     """LSTM over `inputs` rows; returns (all_states, final_state).
 
     `direction="backward"` consumes rows right to left; all_states rows stay
@@ -204,11 +175,12 @@ def run_lstm(inputs: Tensor, cell: LstmCellParams, direction: str = "forward") -
         return Tensor(np.zeros((0, cell.hidden_dim), dtype=dtype)), zero
     if inputs.data.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
+    gates = _gate_blocks(cell)
     h, c = zero, zero
     states: list[Tensor] = [None] * n  # type: ignore[list-item]
     order = range(n) if direction == "forward" else range(n - 1, -1, -1)
     for i in order:
-        h, c = lstm_step(cell, inputs[i], h, c)
+        h, c = lstm_step(gates, inputs[i], h, c)
         states[i] = h
     return ag.stack_rows(states), h
 

@@ -139,18 +139,24 @@ def adam_step(store: ParamStore, cfg: AdamConfig) -> None:
     t = store.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
+    # In place, with the expressions and operation order of the textbook
+    # update, so float32 results stay bit-identical; the gradient slot is
+    # cleared below and doubles as work space.
     for entry in store._entries.values():
-        theta = entry.tensor.data
+        theta, m, v = entry.tensor.data, entry.m, entry.v
         g = entry.tensor.grad
         if g is None:
             g = np.zeros_like(theta)
+        scratch = np.empty_like(theta)
         if cfg.l2_lambda > 0:
-            g = g + cfg.l2_lambda * theta
-        entry.m[...] = cfg.beta1 * entry.m + (1.0 - cfg.beta1) * g
-        entry.v[...] = cfg.beta2 * entry.v + (1.0 - cfg.beta2) * (g * g)
-        m_hat = entry.m / bc1
-        v_hat = entry.v / bc2
-        theta -= (cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(theta.dtype, copy=False)
+            g += np.multiply(cfg.l2_lambda, theta, out=scratch)
+        m *= cfg.beta1  # m = beta1 * m + (1 - beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=scratch)
+        v *= cfg.beta2  # v = beta2 * v + (1 - beta2) * (g * g)
+        v += np.multiply(1.0 - cfg.beta2, np.multiply(g, g, out=scratch), out=scratch)
+        step = np.multiply(cfg.lr, np.divide(m, bc1, out=g), out=g)  # lr * m_hat
+        denom = np.add(np.sqrt(np.divide(v, bc2, out=scratch), out=scratch), cfg.eps, out=scratch)
+        theta -= np.divide(step, denom, out=scratch)
     store.zero_grads()
     store._grads_populated = False
 

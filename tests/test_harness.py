@@ -77,6 +77,13 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         parse_kv_file(bad)
 
 
+@pytest.mark.parametrize("task", ["ae", "multitask"])
+@pytest.mark.parametrize("input_mode", ["noise", "transfer"])
+def test_config_rejects_input_modes_a_task_ignores(task, input_mode):
+    with pytest.raises(ConfigError, match=f"task '{task}'.*input mode '{input_mode}'"):
+        ExperimentConfig(task=task, input_mode=input_mode)
+
+
 def test_config_names_encode_variant():
     assert ExperimentConfig(task="ae", domain="laptop").name == "ae_laptop"
     assert ExperimentConfig(architecture="ian", input_mode="noise", domain="restaurant").name == "ian-r_restaurant"
@@ -202,18 +209,23 @@ def test_evaluate_rejects_ae_checkpoints(fixtures_dir, tmp_path):
 def test_load_model_rejects_checkpoint_missing_a_parameter(tmp_path):
     store = ParamStore()
     alsa_mod.create_alsa_model(store, "atae", d_in=4, hidden=3, rng=np.random.default_rng(0))
-    values = store.state_dict()
-    del values["alsa/attention/bias"]
     meta = {"task": "alsa", "architecture": "atae", "d_in": 4, "hidden": 3, "seed": 0}
-    path = tmp_path / "partial.ckpt"
-    save_checkpoint(path, values, meta)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: missing parameter 'alsa/attention/bias'")):
-        load_model(path, np.zeros((2, 4), dtype=np.float32))
+    partial = store.state_dict()
+    del partial["alsa/attention/bias"]
+    # a checkpoint from before the gate weights were stacked: per-gate entries
+    per_gate = store.state_dict()
+    del per_gate["alsa/lstm/w"], per_gate["alsa/lstm/u"], per_gate["alsa/lstm/b"]
+    per_gate.update({"alsa/lstm/w_in": np.zeros((8, 3), dtype=np.float32),
+                     "alsa/lstm/u_in": np.zeros((3, 3), dtype=np.float32)})
+    for values, problem in [(partial, "missing parameter 'alsa/attention/bias'"),
+                            (per_gate, "unknown parameter 'alsa/lstm/w_in'")]:
+        path = tmp_path / "partial.ckpt"
+        save_checkpoint(path, values, meta)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {problem}")):
+            load_model(path, np.zeros((2, 4), dtype=np.float32))
 
 
-GRU = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset", "w_cand", "u_cand", "b_cand")
-LSTM = ("w_in", "u_in", "b_in", "w_forget", "u_forget", "b_forget",
-        "w_out", "u_out", "b_out", "w_cell", "u_cell", "b_cell")
+CELL = ("w", "u", "b")
 CRF = ("emission_weight", "emission_bias", "transitions", "start", "end")
 ATTENTION = ("proj", "bias", "score")
 HEAD = ("weight", "bias")
@@ -225,12 +237,12 @@ def _scoped(scope: str, *layers: tuple[str, tuple[str, ...]]) -> list[str]:
 
 # The entry names and their order are part of the checkpoint format.
 CHECKPOINT_NAMES = {
-    "ae": _scoped("ae", ("gru_fwd", GRU), ("gru_bwd", GRU), ("crf", CRF)),
-    "tclstm": _scoped("alsa", ("lstm_left", LSTM), ("lstm_right", LSTM), ("head", HEAD)),
-    "atae": _scoped("alsa", ("lstm", LSTM), ("attention", ATTENTION), ("head", HEAD)),
-    "ian": _scoped("alsa", ("lstm_aspect", LSTM), ("lstm_sentence", LSTM), ("attn_aspect", ATTENTION),
+    "ae": _scoped("ae", ("gru_fwd", CELL), ("gru_bwd", CELL), ("crf", CRF)),
+    "tclstm": _scoped("alsa", ("lstm_left", CELL), ("lstm_right", CELL), ("head", HEAD)),
+    "atae": _scoped("alsa", ("lstm", CELL), ("attention", ATTENTION), ("head", HEAD)),
+    "ian": _scoped("alsa", ("lstm_aspect", CELL), ("lstm_sentence", CELL), ("attn_aspect", ATTENTION),
                    ("attn_sentence", ATTENTION), ("head", HEAD)),
-    "multitask": _scoped("multitask", ("gru_fwd", GRU), ("gru_bwd", GRU), ("crf", CRF), ("lstm", LSTM),
+    "multitask": _scoped("multitask", ("gru_fwd", CELL), ("gru_bwd", CELL), ("crf", CRF), ("lstm", CELL),
                          ("attention", ATTENTION), ("head", HEAD)),
 }
 

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 from absalab import autograd as ag
 from absalab.autograd import Tensor
 from absalab.layers import (
+    GRU,
+    LSTM,
     AttentionParams,
-    GruCellParams,
+    CellParams,
     HeadParams,
-    LstmCellParams,
     additive_attention,
     append_to_rows,
     classify,
     embed,
+    glorot_uniform,
     max_pool_rows,
     run_bigru,
     run_lstm,
@@ -23,11 +25,11 @@ from absalab.optim import ParamStore, grad_check
 
 
 def make_gru(store, name, d, h, seed=0, dtype=np.float64):
-    return GruCellParams.create(store, name, d, h, np.random.default_rng(seed), dtype)
+    return CellParams.create(store, name, d, h, np.random.default_rng(seed), GRU, dtype)
 
 
 def make_lstm(store, name, d, h, seed=0, dtype=np.float64):
-    return LstmCellParams.create(store, name, d, h, np.random.default_rng(seed), dtype)
+    return CellParams.create(store, name, d, h, np.random.default_rng(seed), LSTM, dtype)
 
 
 def zero_params(store):
@@ -145,8 +147,39 @@ def test_lstm_backward_equals_forward_on_reversed(rng):
 def test_lstm_forget_bias_initialized_to_one():
     store = ParamStore()
     cell = make_lstm(store, "l", 3, 4)
-    npt.assert_array_equal(cell.b_forget.data, np.ones(4))
-    npt.assert_array_equal(cell.b_in.data, np.zeros(4))
+    npt.assert_array_equal(cell.b.data[1], np.ones(4))
+    npt.assert_array_equal(cell.b.data[[0, 2, 3]], np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("gate_biases", [GRU, LSTM], ids=["gru", "lstm"])
+def test_cell_gate_blocks_are_the_per_gate_draws(gate_biases):
+    # per gate, the input weights are drawn before the recurrent weights
+    d, h = 3, 5
+    cell = CellParams.create(ParamStore(), "c", d, h, np.random.default_rng(7), gate_biases)
+    rng = np.random.default_rng(7)
+    assert cell.w.data.shape == (len(gate_biases), d, h)
+    assert cell.u.data.shape == (len(gate_biases), h, h)
+    assert cell.b.data.shape == (len(gate_biases), h)
+    for k in range(len(gate_biases)):
+        npt.assert_array_equal(cell.w.data[k], glorot_uniform(rng, (d, h), d, h))
+        npt.assert_array_equal(cell.u.data[k], glorot_uniform(rng, (h, h), h, h))
+        assert cell.w.data[k].flags.c_contiguous and cell.u.data[k].flags.c_contiguous
+
+
+def test_every_cell_coordinate_passes_grad_check(rng):
+    # all coordinates of w, u and b, so every gate's block is checked
+    store = ParamStore()
+    gru = make_gru(store, "g", 2, 3, seed=1)
+    lstm = make_lstm(store, "l", 2, 3, seed=2)
+    x = Tensor(rng.normal(size=(3, 2)))
+    gru_proj = Tensor(rng.normal(size=(6, 2)))
+    lstm_proj = Tensor(rng.normal(size=(3, 3)))
+
+    def loss():
+        states, final = run_lstm(x, lstm)
+        return (run_bigru(x, gru, gru) @ gru_proj).sum() + (states @ lstm_proj).sum() + (final * final).sum()
+
+    assert grad_check(store, loss, max_coords_per_param=max(store.value(n).size for n in store.names())) < 1e-6
 
 
 def test_lstm_unknown_direction():
@@ -277,8 +310,8 @@ def test_append_to_rows(rng):
 def test_composed_layer_gradients_pass_grad_check(rng):
     store = ParamStore()
     gen = np.random.default_rng(11)
-    fwd = GruCellParams.create(store, "f", 3, 4, gen, np.float64)
-    bwd = GruCellParams.create(store, "b", 3, 4, gen, np.float64)
+    fwd = CellParams.create(store, "f", 3, 4, gen, GRU, np.float64)
+    bwd = CellParams.create(store, "b", 3, 4, gen, GRU, np.float64)
     attn = AttentionParams.create(store, "a", 8, 8, gen, dtype=np.float64)
     head = HeadParams.create(store, "h", 8, 3, gen, np.float64)
     x = rng.normal(size=(5, 3))
