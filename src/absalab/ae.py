@@ -29,10 +29,6 @@ class AspectSpan:
         if not 0 <= self.start <= self.end:
             raise ValueError(f"invalid span ({self.start}, {self.end})")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
 
 @dataclass
 class AeModel:
@@ -123,12 +119,3 @@ def encode_spans(spans: Sequence[AspectSpan], length: int) -> list[str]:
             labels[i] = "I"
     return labels
 
-
-def ae_span_f1(predicted: Sequence[AspectSpan], gold: Sequence[AspectSpan]) -> tuple[float, float, float]:
-    """Exact-match span precision/recall/F1 with the 0/0 -> 0 convention."""
-    pred_set, gold_set = set(predicted), set(gold)
-    hits = len(pred_set & gold_set)
-    precision = hits / len(pred_set) if pred_set else 0.0
-    recall = hits / len(gold_set) if gold_set else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1

@@ -136,8 +136,6 @@ class TcLstmModel:
     """Two context LSTMs around the target, aspect mean appended to inputs."""
 
     architecture: ClassVar[str] = "tclstm"
-    d_in: int
-    hidden: int
     lstm_left: CellParams
     lstm_right: CellParams
     head: HeadParams
@@ -148,8 +146,6 @@ class AtaeModel:
     """Single LSTM over aspect-appended words with additive attention."""
 
     architecture: ClassVar[str] = "atae"
-    d_in: int
-    hidden: int
     lstm: CellParams
     attention: AttentionParams
     head: HeadParams
@@ -160,8 +156,6 @@ class IanModel:
     """Separate aspect/sentence LSTMs attending over each other's states."""
 
     architecture: ClassVar[str] = "ian"
-    d_in: int
-    hidden: int
     lstm_aspect: CellParams
     lstm_sentence: CellParams
     attn_aspect: AttentionParams
@@ -180,21 +174,18 @@ def create_alsa_model(store: ParamStore, architecture: str, d_in: int, hidden: i
     rng = rng if rng is not None else np.random.default_rng(0)
     if architecture == "tclstm":
         return TcLstmModel(
-            d_in, hidden,
             CellParams.create(store, f"{name}/lstm_left", 2 * d_in, hidden, rng, LSTM, dtype),
             CellParams.create(store, f"{name}/lstm_right", 2 * d_in, hidden, rng, LSTM, dtype),
             HeadParams.create(store, f"{name}/head", 2 * hidden, NUM_CLASSES, rng, dtype),
         )
     if architecture == "atae":
         return AtaeModel(
-            d_in, hidden,
             CellParams.create(store, f"{name}/lstm", 2 * d_in, hidden, rng, LSTM, dtype),
             AttentionParams.create(store, f"{name}/attention", hidden, d_in, rng, dtype=dtype),
             HeadParams.create(store, f"{name}/head", hidden, NUM_CLASSES, rng, dtype),
         )
     if architecture == "ian":
         return IanModel(
-            d_in, hidden,
             CellParams.create(store, f"{name}/lstm_aspect", d_in, hidden, rng, LSTM, dtype),
             CellParams.create(store, f"{name}/lstm_sentence", d_in, hidden, rng, LSTM, dtype),
             AttentionParams.create(store, f"{name}/attn_aspect", hidden, hidden, rng, dtype=dtype),

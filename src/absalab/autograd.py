@@ -63,12 +63,6 @@ class Tensor:
             raise ShapeError("item", self.shape, detail="expected a scalar")
         return float(self.data)
 
-    def __float__(self) -> float:
-        return self.item()
-
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{flag})"
@@ -103,9 +97,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -117,9 +108,6 @@ class Tensor:
 
     def mean(self, axis=None):
         return tmean(self, axis=axis)
-
-    def max(self, axis=None):
-        return tmax(self, axis=axis)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -232,20 +220,17 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product covering the 1-D/2-D combinations numpy allows."""
+    """Matrix product of two matrices, or of one matrix and one vector."""
     a, b = _wrap(a), _wrap(b)
-    if a.data.ndim == 0 or b.data.ndim == 0 or a.data.ndim > 2 or b.data.ndim > 2:
-        raise ShapeError("matmul", a.shape, b.shape, detail="operands must be 1-D or 2-D")
+    a_vec, b_vec = a.data.ndim == 1, b.data.ndim == 1
+    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2) or (a_vec and b_vec):
+        raise ShapeError("matmul", a.shape, b.shape, detail="operands must be 1-D or 2-D and not both 1-D")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     data = a.data @ b.data
-    a_vec, b_vec = a.data.ndim == 1, b.data.ndim == 1
 
     def backward(g):
-        if a_vec and b_vec:  # (m,)@(m,) -> ()
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
-        elif a_vec:  # (m,)@(m,k) -> (k,)
+        if a_vec:  # (m,)@(m,k) -> (k,)
             _accumulate(a, b.data @ g)
             _accumulate(b, np.outer(a.data, g))
         elif b_vec:  # (n,m)@(m,) -> (n,)
@@ -308,22 +293,11 @@ def tmean(t: Tensor, axis=None) -> Tensor:
     return mul(tsum(t, axis=axis), 1.0 / n)
 
 
-def tmax(t: Tensor, axis=None) -> Tensor:
+def tmax(t: Tensor, axis: int) -> Tensor:
     """Maximum along an axis; gradient flows to the first argmax."""
     t = _wrap(t)
     if t.data.size == 0:
         raise ShapeError("max", t.shape, detail="empty reduction")
-    if axis is None:
-        idx = np.unravel_index(np.argmax(t.data), t.data.shape)
-        data = t.data[idx]
-
-        def backward(g):
-            gg = np.zeros_like(t.data)
-            gg[idx] = g
-            _accumulate(t, gg)
-
-        return _node(np.asarray(data), (t,), backward)
-
     idx = np.argmax(t.data, axis=axis)
     idx_keep = np.expand_dims(idx, axis)
     data = np.take_along_axis(t.data, idx_keep, axis=axis).squeeze(axis)

@@ -105,5 +105,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     sidecar = Path(str(path) + ".meta.json")
     if not sidecar.exists():
         raise FileNotFoundError(f"missing checkpoint sidecar {sidecar}")
-    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{sidecar}: malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object, got {type(meta).__name__}")
     return values, meta

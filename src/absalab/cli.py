@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_archive, save_archive
-from .data import build_dataset, collect_tokens, load_embeddings, parse_semeval, split_sa_ma
+from .data import build_dataset, collect_tokens, load_embeddings, read_semeval, split_sa_ma
 from .data import Vocabulary, polarity_counts
 from .harness import (
     ConfigError,
@@ -31,7 +31,6 @@ from .harness import (
     load_model,
     majority_report,
     parse_kv_file,
-    resolvable_splits,
     train,
 )
 from .metrics import format_report
@@ -57,8 +56,7 @@ def _config_from_args(args: argparse.Namespace, **forced) -> ExperimentConfig:
 
 
 def _load_samples(config: ExperimentConfig, split: str):
-    # load every available split so the vocabulary matches training
-    datasets, vocab = load_domain(config, splits=resolvable_splits(config, require=split))
+    datasets, vocab = load_domain(config, require=(split,))
     return datasets[split], vocab
 
 
@@ -67,11 +65,13 @@ def _print_report(report, title: str) -> None:
     print(json.dumps(report.to_record(), sort_keys=True))
 
 
-def _cmd_train_ae(args) -> int:
-    config = _config_from_args(args, task="ae")
+def _cmd_train(args) -> int:
+    config = _config_from_args(args, **args.forced)
     result = train(config)
     for record in result.log:
         print(json.dumps(record, sort_keys=True))
+    if result.best_dev is not None and config.task != "ae":  # an AE run's dev score is span F1
+        print(f"best dev macro F1: {result.best_dev:.2f}")
     if result.best_checkpoint:
         print(f"checkpoint: {result.best_checkpoint}")
     return 0
@@ -90,18 +90,6 @@ def _cmd_export_st(args) -> int:
     cache = export_transfer_cache(model, dataset_sentence_ids(dataset, vocab))
     save_archive(args.out, cache)
     print(f"wrote {len(cache)} transfer matrices (width {meta['transfer_dim']}) to {args.out}")
-    return 0
-
-
-def _cmd_train_alsa(args) -> int:
-    config = _config_from_args(args)
-    result = train(config)
-    for record in result.log:
-        print(json.dumps(record, sort_keys=True))
-    if result.best_dev is not None:
-        print(f"best dev macro F1: {result.best_dev:.2f}")
-    if result.best_checkpoint:
-        print(f"checkpoint: {result.best_checkpoint}")
     return 0
 
 
@@ -152,7 +140,7 @@ def _cmd_dump_attention(args) -> int:
 
 def _cmd_majority(args) -> int:
     config = _config_from_args(args)
-    datasets, _ = load_domain(config, splits=("train", "test"))
+    datasets, _ = load_domain(config)
     report = majority_report(datasets["train"].samples, datasets["test"].samples)
     _print_report(report, f"majority baseline on {config.domain} test")
     return 0
@@ -160,8 +148,7 @@ def _cmd_majority(args) -> int:
 
 def _cmd_ingest(args) -> int:
     """Parse one XML file and print the class/SA/MA distribution."""
-    text = Path(args.xml).read_text(encoding="utf-8")
-    parsed = parse_semeval(text)
+    parsed = read_semeval(args.xml)
     if args.embeddings:
         vocab = load_embeddings(args.embeddings, collect_tokens(parsed))
     else:
@@ -183,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-ae", help="train the BiGRU-CRF aspect extractor")
     _add_config_flags(p)
-    p.set_defaults(fn=_cmd_train_ae)
+    p.set_defaults(fn=_cmd_train, forced={"task": "ae"})
 
     p = sub.add_parser("export-st", help="export frozen transfer rows for a dataset")
     _add_config_flags(p)
@@ -194,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-alsa", help="train a sentiment classifier")
     _add_config_flags(p)
-    p.set_defaults(fn=_cmd_train_alsa)
+    p.set_defaults(fn=_cmd_train, forced={})
 
     p = sub.add_parser("eval", help="evaluate a sentiment checkpoint")
     _add_config_flags(p)

@@ -34,7 +34,6 @@ class CrfParams:
     label order (B, I, O).
     """
 
-    input_dim: int
     emission_weight: Tensor
     emission_bias: Tensor
     transitions: Tensor
@@ -45,7 +44,6 @@ class CrfParams:
     def create(cls, store: ParamStore, name: str, input_dim: int,
                rng: np.random.Generator, dtype=np.float32) -> "CrfParams":
         return cls(
-            input_dim,
             store.param(f"{name}/emission_weight", glorot_uniform(rng, (input_dim, NUM_LABELS), input_dim, NUM_LABELS, dtype)),
             store.param(f"{name}/emission_bias", np.zeros(NUM_LABELS, dtype=dtype)),
             store.param(f"{name}/transitions", np.zeros((NUM_LABELS, NUM_LABELS), dtype=dtype)),

@@ -12,6 +12,7 @@ import json
 import string
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -81,12 +82,26 @@ def parse_semeval(xml_text: str) -> list[ParsedSentence]:
                 attrs[attr] = value
             if attrs["polarity"] not in POLARITIES:
                 raise IngestError(f"sentence {sid!r}: unknown polarity {attrs['polarity']!r}")
-            char_from, char_to = int(attrs["from"]), int(attrs["to"])
+            for attr in ("from", "to"):
+                try:
+                    attrs[attr] = int(attrs[attr])
+                except ValueError:
+                    raise IngestError(f"sentence {sid!r}: aspectTerm attribute {attr!r} is not an integer: "
+                                      f"{attrs[attr]!r}") from None
+            char_from, char_to = attrs["from"], attrs["to"]
             if not 0 <= char_from < char_to <= len(text_node.text):
                 raise IngestError(f"sentence {sid!r}: aspect offsets [{char_from}, {char_to}) out of range")
             aspects.append(RawAspect(attrs["term"], attrs["polarity"], char_from, char_to))
         sentences.append(ParsedSentence(sid, text_node.text, tuple(aspects)))
     return sentences
+
+
+def read_semeval(path) -> list[ParsedSentence]:
+    """:func:`parse_semeval` of one XML file; its errors name the file."""
+    try:
+        return parse_semeval(Path(path).read_text(encoding="utf-8"))
+    except IngestError as err:
+        raise IngestError(f"{path}: {err}") from None
 
 
 def tokenize(text: str) -> list[Token]:
@@ -223,7 +238,6 @@ class SentenceData:
     domain: str
     tokens: list[Token]
     bio: list[str] | None  # None when aspect alignment failed
-    aspects: tuple[RawAspect, ...]
 
 
 @dataclass
@@ -260,7 +274,7 @@ def build_dataset(parsed: Iterable[ParsedSentence], domain: str, vocab: Vocabula
         except IngestError:
             bio = None
             dataset.skipped_sentences += 1
-        dataset.sentences.append(SentenceData(record.sentence_id, record.text, domain, tokens, bio, record.aspects))
+        dataset.sentences.append(SentenceData(record.sentence_id, record.text, domain, tokens, bio))
         for aspect in record.aspects:
             if aspect.polarity == "conflict":
                 continue
@@ -329,25 +343,32 @@ def write_dataset_cache(path, dataset: Dataset) -> None:
 
 
 def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
+    """Inverse of :func:`write_dataset_cache`; a bad record names the file and line."""
     dataset = Dataset(domain="")
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            record = json.loads(line)
-            tokens = [Token(t[0], t[1], t[2]) for t in record["tokens"]]
-            dataset.domain = record["domain"]
-            dataset.sentences.append(
-                SentenceData(record["sentence_id"], record["text"], record["domain"], tokens,
-                             record["bio"], aspects=())
-            )
-            for s in record["samples"]:
-                dataset.samples.append(
-                    AlsaSample(
-                        token_ids=vocab.ids(t.text for t in tokens),
-                        span=AspectSpan(s["start"], s["end"]),
-                        label=s["label"],
-                        sentence_id=record["sentence_id"],
-                        domain=record["domain"],
-                        tokens=tuple(t.text for t in tokens),
-                    )
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                record = json.loads(line)
+                tokens = [Token(t[0], t[1], t[2]) for t in record["tokens"]]
+                dataset.domain = record["domain"]
+                dataset.sentences.append(
+                    SentenceData(record["sentence_id"], record["text"], record["domain"], tokens, record["bio"])
                 )
+                for s in record["samples"]:
+                    dataset.samples.append(
+                        AlsaSample(
+                            token_ids=vocab.ids(t.text for t in tokens),
+                            span=AspectSpan(s["start"], s["end"]),
+                            label=s["label"],
+                            sentence_id=record["sentence_id"],
+                            domain=record["domain"],
+                            tokens=tuple(t.text for t in tokens),
+                        )
+                    )
+            except KeyError as err:
+                raise IngestError(f"{path}: line {lineno}: missing field {err.args[0]!r}") from None
+            except json.JSONDecodeError as err:
+                raise IngestError(f"{path}: line {lineno}: malformed JSON at column {err.colno}: {err.msg}") from None
+            except (IndexError, TypeError, AttributeError, ValueError) as err:
+                raise IngestError(f"{path}: line {lineno}: malformed record: {err}") from None
     return dataset

@@ -22,7 +22,7 @@ from . import alsa as alsa_mod
 from . import crf as crf_mod
 from .alsa import AlsaSample, InputMode
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Dataset, Vocabulary, build_dataset, collect_tokens, load_embeddings, parse_semeval, split_sa_ma
+from .data import Dataset, Vocabulary, build_dataset, collect_tokens, load_embeddings, read_semeval, split_sa_ma
 from .metrics import MetricsReport, macro_f1
 from .optim import AdamConfig, ParamStore, adam_step, forward_backward
 
@@ -76,6 +76,9 @@ class ExperimentConfig:
             raise ConfigError(f"l2_lambda must be non-negative, got {self.l2_lambda}")
         if not 0 <= self.dev_fraction < 1:
             raise ConfigError(f"dev_fraction must lie in [0, 1), got {self.dev_fraction}")
+        for key, low in (("epochs", 0), ("ae_hidden", 1), ("alsa_hidden", 1), ("embedding_dim", 1), ("transfer_dim", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.input_mode == "transfer" and self.ae_domain is None:
             self.ae_domain = self.domain  # in-domain transfer by default
 
@@ -93,13 +96,6 @@ class ExperimentConfig:
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
         return replace(cls(), **_coerce_fields(mapping))
-
-    @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        mapping = parse_kv_file(path)
-        if overrides:
-            mapping.update(overrides)
-        return cls.from_mapping(mapping)
 
 
 def parse_kv_file(path) -> dict:
@@ -166,34 +162,27 @@ def resolve_xml(config: ExperimentConfig, split: str, domain: str | None = None)
     return Path(config.data_dir) / f"{domain}_{split}.xml"
 
 
-def resolvable_splits(config: ExperimentConfig, require: str, domain: str | None = None) -> tuple[str, ...]:
-    """All splits whose files exist; errors if the required one is missing.
+def load_domain(config: ExperimentConfig, domain: str | None = None,
+                require: Sequence[str] = ("train", "test")) -> tuple[dict[str, Dataset], Vocabulary]:
+    """Parse every split whose file exists and build one vocabulary over all.
 
-    Loading every available split keeps the vocabulary identical between
-    training and later evaluation, which matters when no pretrained
-    embedding file is configured and word rows are seeded by token set.
+    A missing split named in `require` raises. Loading every available split
+    keeps the vocabulary identical between training and later evaluation,
+    which matters when no pretrained embedding file is configured and word
+    rows are seeded by token set.
     """
-    splits = []
+    parsed = {}
     for split in ("train", "test"):
         try:
-            if resolve_xml(config, split, domain).exists():
-                splits.append(split)
+            path = resolve_xml(config, split, domain)
         except ConfigError:
-            pass
-    if require not in splits:
-        raise FileNotFoundError(f"missing dataset file {resolve_xml(config, require, domain)}")
-    return tuple(splits)
-
-
-def load_domain(config: ExperimentConfig, domain: str | None = None,
-                splits: Sequence[str] = ("train", "test")) -> tuple[dict[str, Dataset], Vocabulary]:
-    """Parse the requested splits and build one vocabulary over all of them."""
-    parsed = {}
-    for split in splits:
-        path = resolve_xml(config, split, domain)
-        if not path.exists():
+            if split in require:
+                raise
+            continue
+        if path.exists():
+            parsed[split] = read_semeval(path)
+        elif split in require:
             raise FileNotFoundError(f"missing dataset file {path}")
-        parsed[split] = parse_semeval(path.read_text(encoding="utf-8"))
     tokens = []
     for records in parsed.values():
         tokens.extend(collect_tokens(records))
@@ -343,7 +332,7 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
     Missing inputs fail before any training step. `st_source` short-circuits
     the on-disk transfer cache for in-process pipelines.
     """
-    datasets, vocab = load_domain(config, splits=resolvable_splits(config, require="train"))
+    datasets, vocab = load_domain(config, require=("train",))
     train_set = datasets["train"]
     if config.input_mode == "transfer" and st_source is None:
         if not config.st_cache_path:

@@ -60,22 +60,18 @@ class CellParams:
 class AttentionParams:
     """Additive attention: project concat(key, query), score with a vector."""
 
-    query_dim: int
-    key_dim: int
-    attn_dim: int
     proj: Tensor
     bias: Tensor
     score: Tensor
 
     @classmethod
     def create(cls, store: ParamStore, name: str, key_dim: int, query_dim: int,
-               rng: np.random.Generator, attn_dim: int | None = None, dtype=np.float32) -> "AttentionParams":
-        attn_dim = key_dim if attn_dim is None else attn_dim
-        in_dim = key_dim + query_dim
-        proj = store.param(f"{name}/proj", glorot_uniform(rng, (in_dim, attn_dim), in_dim, attn_dim, dtype))
-        bias = store.param(f"{name}/bias", np.zeros(attn_dim, dtype=dtype))
-        score = store.param(f"{name}/score", glorot_uniform(rng, (attn_dim,), attn_dim, 1, dtype))
-        return cls(query_dim, key_dim, attn_dim, proj, bias, score)
+               rng: np.random.Generator, dtype=np.float32) -> "AttentionParams":
+        in_dim = key_dim + query_dim  # the projection keeps the key width
+        proj = store.param(f"{name}/proj", glorot_uniform(rng, (in_dim, key_dim), in_dim, key_dim, dtype))
+        bias = store.param(f"{name}/bias", np.zeros(key_dim, dtype=dtype))
+        score = store.param(f"{name}/score", glorot_uniform(rng, (key_dim,), key_dim, 1, dtype))
+        return cls(proj, bias, score)
 
 
 @dataclass
@@ -130,6 +126,21 @@ def lstm_step(gates: list[tuple[Tensor, Tensor, Tensor]], x: Tensor, h: Tensor, 
     return h_next, c_next
 
 
+def _scan(cell: CellParams, inputs: Tensor, reverse: bool, lstm: bool) -> list[Tensor]:
+    """One cell's hidden state at each row of `inputs` (aligned with the rows), from zero states."""
+    n = inputs.data.shape[0]
+    gates = _gate_blocks(cell)
+    h = c = Tensor(np.zeros(cell.hidden_dim, dtype=inputs.data.dtype))
+    states: list[Tensor] = [None] * n  # type: ignore[list-item]
+    for i in range(n - 1, -1, -1) if reverse else range(n):
+        if lstm:
+            h, c = lstm_step(gates, inputs[i], h, c)
+        else:
+            h = gru_step(gates, inputs[i], h)
+        states[i] = h
+    return states
+
+
 def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     """Bidirectional GRU over `inputs` (n x d), zero initial states.
 
@@ -143,20 +154,9 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     if inputs.data.shape[1] != fwd.input_dim or inputs.data.shape[1] != bwd.input_dim:
         raise ag.ShapeError("run_bigru", inputs.shape, (fwd.input_dim,), (bwd.input_dim,),
                             detail="input width must match both cells")
-    dtype = inputs.data.dtype
-    gates = _gate_blocks(fwd)
-    h = Tensor(np.zeros(fwd.hidden_dim, dtype=dtype))
-    forward_states = []
-    for i in range(n):
-        h = gru_step(gates, inputs[i], h)
-        forward_states.append(h)
-    gates = _gate_blocks(bwd)
-    h = Tensor(np.zeros(bwd.hidden_dim, dtype=dtype))
-    backward_states: list[Tensor] = [None] * n  # type: ignore[list-item]
-    for i in range(n - 1, -1, -1):
-        h = gru_step(gates, inputs[i], h)
-        backward_states[i] = h
-    return ag.stack_rows([ag.concat([forward_states[i], backward_states[i]]) for i in range(n)])
+    forward_states = _scan(fwd, inputs, reverse=False, lstm=False)
+    backward_states = _scan(bwd, inputs, reverse=True, lstm=False)
+    return ag.stack_rows([ag.concat([f, b]) for f, b in zip(forward_states, backward_states)])
 
 
 def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
@@ -170,19 +170,13 @@ def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tu
         raise ValueError(f"unknown direction {direction!r}")
     n = inputs.data.shape[0]
     dtype = inputs.data.dtype
-    zero = Tensor(np.zeros(cell.hidden_dim, dtype=dtype))
     if n == 0:
-        return Tensor(np.zeros((0, cell.hidden_dim), dtype=dtype)), zero
+        return Tensor(np.zeros((0, cell.hidden_dim), dtype=dtype)), Tensor(np.zeros(cell.hidden_dim, dtype=dtype))
     if inputs.data.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
-    gates = _gate_blocks(cell)
-    h, c = zero, zero
-    states: list[Tensor] = [None] * n  # type: ignore[list-item]
-    order = range(n) if direction == "forward" else range(n - 1, -1, -1)
-    for i in order:
-        h, c = lstm_step(gates, inputs[i], h, c)
-        states[i] = h
-    return ag.stack_rows(states), h
+    reverse = direction == "backward"
+    states = _scan(cell, inputs, reverse, lstm=True)
+    return ag.stack_rows(states), states[0] if reverse else states[-1]
 
 
 def additive_attention(keys: Tensor, query: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:
@@ -193,8 +187,7 @@ def additive_attention(keys: Tensor, query: Tensor, params: AttentionParams) -> 
     n = keys.data.shape[0]
     if n == 0:
         raise ValueError("additive_attention requires at least one key")
-    query_rows = ag.stack_rows([query] * n)
-    scores = ag.tanh(ag.concat([keys, query_rows], axis=1) @ params.proj + params.bias) @ params.score
+    scores = ag.tanh(append_to_rows(keys, query) @ params.proj + params.bias) @ params.score
     alpha = ag.softmax(scores)
     pooled = alpha @ keys
     return alpha, pooled

@@ -67,28 +67,15 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._entries)
 
-    def tensor(self, name: str) -> Tensor:
-        return self._entries[name].tensor
-
     def value(self, name: str) -> np.ndarray:
         return self._entries[name].tensor.data
 
     def gradient(self, name: str) -> np.ndarray:
-        g = self._entries[name].tensor.grad
-        return g if g is not None else np.zeros_like(self.value(name))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
+        return self._entries[name].tensor.grad
 
     def zero_grads(self) -> None:
         for entry in self._entries.values():
-            if entry.tensor.grad is None:
-                entry.tensor.grad = np.zeros_like(entry.tensor.data)
-            else:
-                entry.tensor.grad[...] = 0
+            entry.tensor.grad[...] = 0
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: e.tensor.data.copy() for name, e in self._entries.items()}
@@ -145,8 +132,6 @@ def adam_step(store: ParamStore, cfg: AdamConfig) -> None:
     for entry in store._entries.values():
         theta, m, v = entry.tensor.data, entry.m, entry.v
         g = entry.tensor.grad
-        if g is None:
-            g = np.zeros_like(theta)
         scratch = np.empty_like(theta)
         if cfg.l2_lambda > 0:
             g += np.multiply(cfg.l2_lambda, theta, out=scratch)

@@ -9,7 +9,6 @@ from absalab.ae import (
     AspectSpan,
     ae_forward,
     ae_loss,
-    ae_span_f1,
     decode_spans,
     encode_spans,
     export_transfer,
@@ -182,16 +181,3 @@ def test_encode_rejects_overlap_and_overflow():
         encode_spans([AspectSpan(0, 2), AspectSpan(2, 3)], 5)
     with pytest.raises(ValueError):
         encode_spans([AspectSpan(0, 5)], 3)
-
-
-# -- span F1 -------------------------------------------------------------------------------
-
-
-def test_span_f1_examples():
-    gold = [AspectSpan(0, 1), AspectSpan(3, 3)]
-    assert ae_span_f1(gold, gold) == (1.0, 1.0, 1.0)
-    assert ae_span_f1([], gold) == (0.0, 0.0, 0.0)
-    assert ae_span_f1([AspectSpan(0, 1)], [AspectSpan(0, 0)]) == (0.0, 0.0, 0.0)
-    p, r, f1 = ae_span_f1([AspectSpan(0, 1)], gold)
-    assert (p, r) == (1.0, 0.5)
-    assert f1 == pytest.approx(2 / 3)

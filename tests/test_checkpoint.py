@@ -102,3 +102,12 @@ def test_missing_sidecar_is_an_error(tmp_path):
     save_archive(path, {"w": np.ones(1, dtype=np.float32)})
     with pytest.raises(FileNotFoundError, match="sidecar"):
         load_checkpoint(path)
+
+
+def test_malformed_sidecar_names_its_path(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(1, dtype=np.float32)}, {"task": "alsa"})
+    sidecar = tmp_path / "model.ckpt.meta.json"
+    sidecar.write_text('{"task": "alsa",', encoding="utf-8")
+    with pytest.raises(ValueError, match=r"model\.ckpt\.meta\.json: malformed JSON"):
+        load_checkpoint(path)

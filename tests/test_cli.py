@@ -47,6 +47,18 @@ def test_ingest_command_counts(capsys, fixtures_dir, tmp_path):
                        "neutral": 1, "sa": 3, "ma": 2}
 
 
+def test_ingest_command_error_names_file_and_sentence(capsys, tmp_path):
+    xml = tmp_path / "bad.xml"
+    xml.write_text("""<sentences><sentence id="s5"><text>hi there</text><aspectTerms>
+      <aspectTerm term="hi" polarity="positive" from="x4" to="2"/></aspectTerms></sentence></sentences>""",
+                   encoding="utf-8")
+    code, _, err = run_cli(capsys, "ingest", "--xml", str(xml))
+    assert code == 1
+    message = json.loads(err.strip().splitlines()[-1])["error"]
+    assert message.startswith("IngestError: ") and "bad.xml" in message
+    assert "'s5'" in message and "'from'" in message
+
+
 def test_train_alsa_then_eval(capsys, fixtures_dir, tmp_path):
     code, out, err = run_cli(capsys, "train-alsa", *base_args(fixtures_dir, tmp_path, **{"--dev-fraction": "0.2"}))
     assert code == 0, err

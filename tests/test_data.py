@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +18,7 @@ from absalab.data import (
     parse_semeval,
     polarity_counts,
     read_dataset_cache,
+    read_semeval,
     split_sa_ma,
     tokenize,
     write_dataset_cache,
@@ -90,6 +93,23 @@ def test_parse_missing_attribute_names_sentence():
       </sentence></sentences>"""
     with pytest.raises(IngestError, match="s9"):
         parse_semeval(xml)
+
+
+@pytest.mark.parametrize("attr", ["from", "to"])
+def test_parse_non_integer_offset_names_sentence_and_attribute(attr):
+    offsets = {"from": "0", "to": "2", attr: "x4"}
+    xml = f"""<sentences><sentence id="s5"><text>hi there</text>
+      <aspectTerms><aspectTerm term="hi" polarity="positive" from="{offsets['from']}" to="{offsets['to']}"/>
+      </aspectTerms></sentence></sentences>"""
+    with pytest.raises(IngestError, match=f"sentence 's5'.*'{attr}'.*'x4'"):
+        parse_semeval(xml)
+
+
+def test_read_semeval_errors_name_the_file(tmp_path):
+    path = tmp_path / "broken.xml"
+    path.write_text("<sentences><sentence></sentences>", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"broken\.xml: malformed XML at line 1"):
+        read_semeval(path)
 
 
 def test_parse_tolerates_aspect_categories_and_entities():
@@ -304,3 +324,29 @@ def test_dataset_cache_round_trip(tmp_path, laptop_train_xml):
     assert len(loaded.sentences) == len(dataset.sentences)
     assert loaded.samples == dataset.samples
     assert [s.bio for s in loaded.sentences] == [s.bio for s in dataset.sentences]
+
+
+def _cache_lines(tmp_path, laptop_train_xml):
+    parsed = parse_semeval(laptop_train_xml)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
+    path = tmp_path / "cache.jsonl"
+    write_dataset_cache(path, build_dataset(parsed, "laptop", vocab))
+    return path, vocab, path.read_text(encoding="utf-8").splitlines()
+
+
+def test_dataset_cache_malformed_line_names_file_and_line(tmp_path, laptop_train_xml):
+    path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
+    lines[2] = lines[2][:-5]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"cache\.jsonl: line 3: malformed JSON"):
+        read_dataset_cache(path, vocab)
+
+
+def test_dataset_cache_missing_field_names_file_and_line(tmp_path, laptop_train_xml):
+    path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
+    record = json.loads(lines[1])
+    del record["tokens"]
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"cache\.jsonl: line 2: missing field 'tokens'"):
+        read_dataset_cache(path, vocab)

@@ -6,12 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from absalab.ae import AeModel
 from absalab.alsa import InputMode
 from absalab.checkpoint import load_archive, save_checkpoint
+from absalab.data import IngestError
 from absalab.harness import (
     ConfigError,
     ExperimentConfig,
     ae_checkpoint_path,
+    corpus_span_f1,
     cross_domain_run,
     dataset_sentence_ids,
     dump_attention,
@@ -55,7 +58,7 @@ def test_config_file_parsing_and_overrides(tmp_path):
         "# full-line comment\nepochs = 3\nae_domain = none\n",
         encoding="utf-8",
     )
-    config = ExperimentConfig.from_file(cfg_file, overrides={"lr": "0.005"})
+    config = ExperimentConfig.from_mapping({**parse_kv_file(cfg_file), "lr": "0.005"})
     assert config.architecture == "ian"
     assert config.lr == 0.005
     assert config.epochs == 3
@@ -82,6 +85,14 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
 def test_config_rejects_input_modes_a_task_ignores(task, input_mode):
     with pytest.raises(ConfigError, match=f"task '{task}'.*input mode '{input_mode}'"):
         ExperimentConfig(task=task, input_mode=input_mode)
+
+
+@pytest.mark.parametrize("key,value,low", [("epochs", -1, 0), ("ae_hidden", 0, 1), ("alsa_hidden", 0, 1),
+                                           ("embedding_dim", 0, 1), ("transfer_dim", -3, 0)])
+def test_config_rejects_out_of_range_sizes(key, value, low):
+    with pytest.raises(ConfigError, match=f"{key} must be at least {low}, got {value}"):
+        ExperimentConfig(**{key: value})
+    ExperimentConfig(**{key: low})  # the smallest accepted value
 
 
 def test_config_names_encode_variant():
@@ -152,6 +163,53 @@ def test_train_missing_inputs_fail_before_training(fixtures_dir, tmp_path):
     config2 = tiny_config(fixtures_dir, tmp_path, input_mode="transfer")
     with pytest.raises(ConfigError, match="st_cache_path"):
         train(config2)
+
+
+def test_load_domain_without_test_split(fixtures_dir, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "laptop_train.xml").write_bytes((fixtures_dir / "laptop_train.xml").read_bytes())
+    config = tiny_config(data, tmp_path, epochs=1)
+    assert train(config).final_checkpoint.exists()
+    datasets, _ = load_domain(config, require=("train",))
+    assert set(datasets) == {"train"}
+    for require in (("test",), ("train", "test")):
+        with pytest.raises(FileNotFoundError, match=re.escape(str(data / "laptop_test.xml"))):
+            load_domain(config, require=require)
+    (data / "laptop_train.xml").write_text("<sentences><sentence></sentences>", encoding="utf-8")
+    with pytest.raises(IngestError, match=re.escape(f"{data / 'laptop_train.xml'}: malformed XML")):
+        load_domain(config, require=("train",))
+
+
+def test_train_and_eval_splits_share_one_vocabulary(fixtures_dir, tmp_path):
+    config = tiny_config(fixtures_dir, tmp_path)
+    train_sets, train_vocab = load_domain(config, require=("train",))
+    eval_sets, eval_vocab = load_domain(config, require=("test",))
+    assert set(train_sets) == set(eval_sets) == {"train", "test"}
+    assert train_vocab.token_to_id == eval_vocab.token_to_id
+    npt.assert_array_equal(train_vocab.matrix, eval_vocab.matrix)
+    seen = {t.text for s in train_sets["train"].sentences for t in s.tokens}
+    test_only = {t.text for s in train_sets["test"].sentences for t in s.tokens} - seen
+    assert test_only and all(train_vocab.id_of(t) != train_vocab.unk_id for t in test_only)
+
+
+def test_corpus_span_f1_examples():
+    # zero weights give zero BiGRU states and emissions, so the CRF tables alone fix the path B I O O
+    store = ParamStore()
+    model = AeModel.create(store, np.zeros((1, 2)), hidden_dim=2, dtype=np.float64)
+    model.crf.emission_weight.data[...] = 0.0
+    for cell in (model.gru_fwd, model.gru_bwd):
+        for t in (cell.w, cell.u, cell.b):
+            t.data[...] = 0.0
+    model.crf.start.data[...] = [5.0, 0.0, 0.0]
+    model.crf.transitions.data[...] = [[0.0, 5.0, 0.0], [0.0, 0.0, 5.0], [0.0, 0.0, 5.0]]
+    ids = [0, 0, 0, 0]
+    assert corpus_span_f1(model, [(ids, ["B", "I", "O", "O"])]) == 100.0
+    assert corpus_span_f1(model, [(ids, ["O", "O", "O", "O"])]) == 0.0
+    assert corpus_span_f1(model, [(ids, ["B", "O", "O", "O"])]) == 0.0  # exact match only
+    assert corpus_span_f1(model, [(ids, ["B", "I", "O", "B"])]) == pytest.approx(200 / 3)
+    # aggregated over the corpus: 1 hit of 2 predicted and 1 gold span
+    assert corpus_span_f1(model, [(ids, ["B", "I", "O", "O"]), (ids, ["O"] * 4)]) == pytest.approx(200 / 3)
 
 
 def test_train_ae_task_and_multitask(fixtures_dir, tmp_path):
