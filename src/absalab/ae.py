@@ -44,10 +44,8 @@ class AeModel:
         return self.gru_fwd.hidden_dim + self.gru_bwd.hidden_dim
 
     @classmethod
-    def create(cls, store: ParamStore, embedding_matrix, hidden_dim: int = 32,
-               rng: np.random.Generator | None = None, dtype=np.float32,
-               name: str = "ae") -> "AeModel":
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def create(cls, store: ParamStore, embedding_matrix, hidden_dim: int = 32, *,
+               rng: np.random.Generator, dtype=np.float32, name: str = "ae") -> "AeModel":
         matrix = np.asarray(embedding_matrix, dtype=dtype)
         d = matrix.shape[1]
         fwd = CellParams.create(store, f"{name}/gru_fwd", d, hidden_dim, rng, GRU, dtype)

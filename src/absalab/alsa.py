@@ -168,10 +168,8 @@ AlsaModel = Union[TcLstmModel, AtaeModel, IanModel]
 ARCHITECTURES = ("tclstm", "atae", "ian")
 
 
-def create_alsa_model(store: ParamStore, architecture: str, d_in: int, hidden: int = 128,
-                      rng: np.random.Generator | None = None, dtype=np.float32,
-                      name: str = "alsa") -> AlsaModel:
-    rng = rng if rng is not None else np.random.default_rng(0)
+def create_alsa_model(store: ParamStore, architecture: str, d_in: int, hidden: int = 128, *,
+                      rng: np.random.Generator, dtype=np.float32, name: str = "alsa") -> AlsaModel:
     if architecture == "tclstm":
         return TcLstmModel(
             CellParams.create(store, f"{name}/lstm_left", 2 * d_in, hidden, rng, LSTM, dtype),
@@ -280,12 +278,10 @@ class MultitaskModel:
     sentiment: AtaeModel
 
     @classmethod
-    def create(cls, store: ParamStore, embedding_matrix, shared_hidden: int = 32,
-               alsa_hidden: int = 128, rng: np.random.Generator | None = None,
-               dtype=np.float32, name: str = "multitask") -> "MultitaskModel":
-        rng = rng if rng is not None else np.random.default_rng(0)
-        tagger = AeModel.create(store, embedding_matrix, shared_hidden, rng, dtype, name=name)
-        sentiment = create_alsa_model(store, "atae", 2 * shared_hidden, alsa_hidden, rng, dtype, name=name)
+    def create(cls, store: ParamStore, embedding_matrix, shared_hidden: int = 32, alsa_hidden: int = 128, *,
+               rng: np.random.Generator, dtype=np.float32, name: str = "multitask") -> "MultitaskModel":
+        tagger = AeModel.create(store, embedding_matrix, shared_hidden, rng=rng, dtype=dtype, name=name)
+        sentiment = create_alsa_model(store, "atae", 2 * shared_hidden, alsa_hidden, rng=rng, dtype=dtype, name=name)
         return cls(tagger, sentiment)
 
 

@@ -119,11 +119,8 @@ def _cmd_grid_search(args) -> int:
 
 def _cmd_cross_domain(args) -> int:
     config = _config_from_args(args)
-    if config.ae_domain is None:
-        raise ConfigError("cross-domain needs --ae-domain")
-    alsa_domain = args.alsa_domain or config.domain
-    report = cross_domain_run(config.ae_domain, alsa_domain, config.architecture, config)
-    _print_report(report, f"extractor {config.ae_domain} -> classifier {alsa_domain}")
+    report = cross_domain_run(config)
+    _print_report(report, f"extractor {config.ae_domain} -> classifier {config.domain}")
     return 0
 
 
@@ -195,9 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="append", required=True, metavar="KEY=V1,V2,...")
     p.set_defaults(fn=_cmd_grid_search)
 
-    p = sub.add_parser("cross-domain", help="transfer from one domain's extractor to another's classifier")
+    p = sub.add_parser("cross-domain", help="transfer from --ae-domain's extractor to --domain's classifier")
     _add_config_flags(p)
-    p.add_argument("--alsa-domain", default=None, help="classifier domain (defaults to --domain)")
     p.set_defaults(fn=_cmd_cross_domain)
 
     p = sub.add_parser("dump-attention", help="write per-sample attention records")

@@ -21,8 +21,9 @@ from .ae import AspectSpan
 from .alsa import POLARITY_TO_LABEL, AlsaSample
 
 GLOVE_DIM = 300
-UNK_TOKEN = "<unk>"
 UNK_INIT_RANGE = 0.25
+UNK_SEED = 13
+RANDOM_INIT_RANGE = 0.5  # rows of Vocabulary.random
 _PUNCTUATION = set(string.punctuation)
 
 POLARITIES = ("positive", "negative", "neutral", "conflict")
@@ -52,14 +53,17 @@ class ParsedSentence:
     sentence_id: str
     text: str
     aspects: tuple[RawAspect, ...]
+    tokens: tuple[Token, ...]
 
 
 def parse_semeval(xml_text: str) -> list[ParsedSentence]:
-    """Parse a Task-4 style XML document into sentence records.
+    """Parse a Task-4 style XML document into tokenized sentence records.
 
     Sentences without aspect terms are kept (they make useful all-O
     tagging examples). Conflict-polarity aspects are kept here and
-    filtered later when building classification samples.
+    filtered later when building classification samples. Text that yields
+    no token, and a non-conflict aspect that covers no token, raise with
+    the sentence id.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -92,7 +96,14 @@ def parse_semeval(xml_text: str) -> list[ParsedSentence]:
             if not 0 <= char_from < char_to <= len(text_node.text):
                 raise IngestError(f"sentence {sid!r}: aspect offsets [{char_from}, {char_to}) out of range")
             aspects.append(RawAspect(attrs["term"], attrs["polarity"], char_from, char_to))
-        sentences.append(ParsedSentence(sid, text_node.text, tuple(aspects)))
+        try:
+            tokens = tuple(tokenize(text_node.text))
+            for aspect in aspects:
+                if aspect.polarity != "conflict":
+                    aspect_token_span(tokens, aspect)
+        except IngestError as err:
+            raise IngestError(f"sentence {sid!r}: {err}") from None
+        sentences.append(ParsedSentence(sid, text_node.text, tuple(aspects), tokens))
     return sentences
 
 
@@ -178,41 +189,41 @@ class Vocabulary:
         return tuple(self.id_of(t) for t in tokens)
 
     @classmethod
-    def random(cls, tokens: Sequence[str], dim: int, seed: int = 0, scale: float = 0.5) -> "Vocabulary":
+    def random(cls, tokens: Sequence[str], dim: int, seed: int = 0) -> "Vocabulary":
         """Seeded random vocabulary for synthetic corpora and fixtures."""
         rng = np.random.default_rng(seed)
         uniq = sorted(set(t.lower() for t in tokens))
-        matrix = rng.uniform(-scale, scale, size=(len(uniq) + 1, dim)).astype(np.float32)
+        matrix = rng.uniform(-RANDOM_INIT_RANGE, RANDOM_INIT_RANGE, size=(len(uniq) + 1, dim)).astype(np.float32)
         mapping = {t: i for i, t in enumerate(uniq)}
         return cls(mapping, matrix, unk_id=len(uniq))
 
 
-def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int = GLOVE_DIM,
-                    unk_seed: int = 13) -> Vocabulary:
+def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int = GLOVE_DIM) -> Vocabulary:
     """Load whitespace-separated embedding vectors for the requested tokens.
 
     Tokens absent from the file share one UNK id whose row is drawn
     uniformly from [-0.25, 0.25] with a fixed seed. The vector width must
-    equal `expected_dim` (300 for the pretrained vectors used here).
+    equal `expected_dim` (300 for the pretrained vectors used here) on
+    every line; components are parsed only on the first line of each
+    wanted token.
     """
     wanted = {t.lower() for t in vocabulary_tokens}
     found: dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) - 1 != expected_dim:
-                raise IngestError(
-                    f"{path}: line {lineno}: vector has {len(parts) - 1} values, expected {expected_dim}"
-                )
-            token = parts[0]
+            line = line.rstrip("\n")
+            width = line.count(" ")
+            if width != expected_dim:
+                raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
+            token = line.partition(" ")[0]
             if token not in wanted or token in found:
                 continue
             try:
-                found[token] = np.asarray([float(x) for x in parts[1:]], dtype=np.float32)
+                found[token] = np.asarray([float(x) for x in line.split(" ")[1:]], dtype=np.float32)
             except ValueError:
                 raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
     ordered = sorted(found)
-    rng = np.random.default_rng(unk_seed)
+    rng = np.random.default_rng(UNK_SEED)
     unk_row = rng.uniform(-UNK_INIT_RANGE, UNK_INIT_RANGE, size=expected_dim).astype(np.float32)
     matrix = np.zeros((len(ordered) + 1, expected_dim), dtype=np.float32)
     mapping = {}
@@ -236,7 +247,7 @@ class SentenceData:
     sentence_id: str
     text: str
     domain: str
-    tokens: list[Token]
+    tokens: tuple[Token, ...]
     bio: list[str] | None  # None when aspect alignment failed
 
 
@@ -247,48 +258,49 @@ class Dataset:
     domain: str
     sentences: list[SentenceData] = field(default_factory=list)
     samples: list[AlsaSample] = field(default_factory=list)
-    skipped_sentences: int = 0  # sentences whose BIO alignment failed
+
+    @property
+    def skipped_sentences(self) -> int:
+        """Sentences whose BIO alignment failed."""
+        return sum(s.bio is None for s in self.sentences)
 
 
 def collect_tokens(parsed: Iterable[ParsedSentence]) -> list[str]:
-    out = []
-    for record in parsed:
-        out.extend(t.text for t in tokenize(record.text))
-    return out
+    return [t.text for record in parsed for t in record.tokens]
+
+
+def _add_sentence(dataset: Dataset, vocab: Vocabulary, sentence: SentenceData,
+                  labelled: Sequence[tuple[AspectSpan, int]]) -> None:
+    """Append one sentence and a sample per (span, label); the samples share
+    one token-id tuple and one surface tuple."""
+    dataset.sentences.append(sentence)
+    if not labelled:
+        return
+    surfaces = tuple(t.text for t in sentence.tokens)
+    token_ids = vocab.ids(surfaces)
+    dataset.samples.extend(AlsaSample(token_ids, span, label, sentence.sentence_id, sentence.domain, surfaces)
+                           for span, label in labelled)
 
 
 def build_dataset(parsed: Iterable[ParsedSentence], domain: str, vocab: Vocabulary) -> Dataset:
-    """Tokenize, align and index a parsed corpus.
+    """Align and index a parsed corpus.
 
     Classification samples drop conflict-polarity aspects; tagging gold
     keeps them (they are real aspect terms). Sentences with overlapping
-    aspects are excluded from tagging gold (bio=None, counted in
-    `skipped_sentences`) but still yield classification samples. An aspect
-    matching no token at all raises.
+    aspects, or with a conflict aspect that covers no token, are excluded
+    from tagging gold (bio=None, counted in `skipped_sentences`) but still
+    yield classification samples.
     """
     dataset = Dataset(domain)
     for record in parsed:
-        tokens = tokenize(record.text)
         try:
-            bio = align_bio(tokens, record.aspects)
+            bio = align_bio(record.tokens, record.aspects)
         except IngestError:
             bio = None
-            dataset.skipped_sentences += 1
-        dataset.sentences.append(SentenceData(record.sentence_id, record.text, domain, tokens, bio))
-        for aspect in record.aspects:
-            if aspect.polarity == "conflict":
-                continue
-            span = aspect_token_span(tokens, aspect)
-            dataset.samples.append(
-                AlsaSample(
-                    token_ids=vocab.ids(t.text for t in tokens),
-                    span=span,
-                    label=POLARITY_TO_LABEL[aspect.polarity],
-                    sentence_id=record.sentence_id,
-                    domain=domain,
-                    tokens=tuple(t.text for t in tokens),
-                )
-            )
+        labelled = [(aspect_token_span(record.tokens, a), POLARITY_TO_LABEL[a.polarity])
+                    for a in record.aspects if a.polarity != "conflict"]
+        _add_sentence(dataset, vocab, SentenceData(record.sentence_id, record.text, domain, record.tokens, bio),
+                      labelled)
     return dataset
 
 
@@ -349,22 +361,11 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
         for lineno, line in enumerate(fh, start=1):
             try:
                 record = json.loads(line)
-                tokens = [Token(t[0], t[1], t[2]) for t in record["tokens"]]
+                tokens = tuple(Token(t[0], t[1], t[2]) for t in record["tokens"])
                 dataset.domain = record["domain"]
-                dataset.sentences.append(
-                    SentenceData(record["sentence_id"], record["text"], record["domain"], tokens, record["bio"])
-                )
-                for s in record["samples"]:
-                    dataset.samples.append(
-                        AlsaSample(
-                            token_ids=vocab.ids(t.text for t in tokens),
-                            span=AspectSpan(s["start"], s["end"]),
-                            label=s["label"],
-                            sentence_id=record["sentence_id"],
-                            domain=record["domain"],
-                            tokens=tuple(t.text for t in tokens),
-                        )
-                    )
+                sentence = SentenceData(record["sentence_id"], record["text"], record["domain"], tokens, record["bio"])
+                labelled = [(AspectSpan(s["start"], s["end"]), s["label"]) for s in record["samples"]]
+                _add_sentence(dataset, vocab, sentence, labelled)
             except KeyError as err:
                 raise IngestError(f"{path}: line {lineno}: missing field {err.args[0]!r}") from None
             except json.JSONDecodeError as err:

@@ -124,45 +124,32 @@ def _coerce_fields(mapping: dict) -> dict:
 
 def _coerce(value, hint, key: str):
     if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
-        if hint in (str, int, float) and not _is_optional(hint):
+        if hint in (str, int, float):  # `str | None` fields accept empty
             raise ConfigError(f"config key {key!r} must not be empty")
         return None
-    base = _strip_optional(hint)
     try:
-        if base is int:
+        if hint is int:
             return int(value)
-        if base is float:
+        if hint is float:
             return float(value)
         return str(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {base.__name__}") from None
-
-
-def _is_optional(hint) -> bool:
-    return typing.get_origin(hint) is typing.Union and type(None) in typing.get_args(hint)
-
-
-def _strip_optional(hint):
-    if _is_optional(hint):
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        return args[0]
-    return hint
+        raise ConfigError(f"config key {key!r}: cannot parse {value!r} as {hint.__name__}") from None
 
 
 # -- data resolution -------------------------------------------------------------------
 
 
-def resolve_xml(config: ExperimentConfig, split: str, domain: str | None = None) -> Path:
-    domain = domain or config.domain
+def resolve_xml(config: ExperimentConfig, split: str) -> Path:
     explicit = config.train_xml if split == "train" else config.test_xml
-    if explicit and domain == config.domain:  # explicit paths name the config's own domain
+    if explicit:
         return Path(explicit)
     if config.data_dir is None:
         raise ConfigError(f"no {split} data: set data_dir or {split}_xml")
-    return Path(config.data_dir) / f"{domain}_{split}.xml"
+    return Path(config.data_dir) / f"{config.domain}_{split}.xml"
 
 
-def load_domain(config: ExperimentConfig, domain: str | None = None,
+def load_domain(config: ExperimentConfig,
                 require: Sequence[str] = ("train", "test")) -> tuple[dict[str, Dataset], Vocabulary]:
     """Parse every split whose file exists and build one vocabulary over all.
 
@@ -174,7 +161,7 @@ def load_domain(config: ExperimentConfig, domain: str | None = None,
     parsed = {}
     for split in ("train", "test"):
         try:
-            path = resolve_xml(config, split, domain)
+            path = resolve_xml(config, split)
         except ConfigError:
             if split in require:
                 raise
@@ -191,7 +178,7 @@ def load_domain(config: ExperimentConfig, domain: str | None = None,
     else:
         # No pretrained vectors available: seeded random rows (fixtures, demos).
         vocab = Vocabulary.random(tokens, dim=config.embedding_dim, seed=config.seed + 7919)
-    datasets = {split: build_dataset(records, domain or config.domain, vocab) for split, records in parsed.items()}
+    datasets = {split: build_dataset(records, config.domain, vocab) for split, records in parsed.items()}
     return datasets, vocab
 
 
@@ -366,7 +353,7 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
                 "hidden": config.ae_hidden, "embedding_dim": vocab.dim,
                 "transfer_dim": 2 * config.ae_hidden, "seed": config.seed}
     elif config.task == "multitask":
-        pairs = _multitask_items(train_set, vocab)
+        pairs = _multitask_items(train_set)
         train_items, dev_items = _split_pairs(pairs, config.dev_fraction, config.seed + 1)
         dev_samples = [sample for sample, _ in dev_items]
 
@@ -412,7 +399,7 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
     return result
 
 
-def _multitask_items(dataset: Dataset, vocab: Vocabulary) -> list[tuple[AlsaSample, list[str]]]:
+def _multitask_items(dataset: Dataset) -> list[tuple[AlsaSample, list[str]]]:
     bio_by_sentence = {s.sentence_id: s.bio for s in dataset.sentences if s.bio}
     return [(sample, bio_by_sentence[sample.sentence_id])
             for sample in dataset.samples if sample.sentence_id in bio_by_sentence]
@@ -460,22 +447,21 @@ def load_model(checkpoint_path, embeddings: np.ndarray,
 
 
 def evaluate_samples(model, samples: Sequence[AlsaSample], mode: InputMode,
-                     embeddings: np.ndarray, slices: bool = True) -> MetricsReport:
+                     embeddings: np.ndarray) -> MetricsReport:
     """MetricsReport over samples, with class-wise and SA/MA slices."""
     if not samples:
         raise ValueError("evaluate_samples requires at least one sample")
     preds = [_predict(model, s, mode, embeddings) for s in samples]
     golds = [s.label for s in samples]
     report = macro_f1(preds, golds)
-    if slices:
-        sa, ma = split_sa_ma(list(samples))
-        pred_by_id = {id(s): p for s, p in zip(samples, preds)}
-        if sa:
-            sa_report = macro_f1([pred_by_id[id(s)] for s in sa], [s.label for s in sa])
-            report.sa_macro_f1, report.sa_count = sa_report.macro_f1, len(sa)
-        if ma:
-            ma_report = macro_f1([pred_by_id[id(s)] for s in ma], [s.label for s in ma])
-            report.ma_macro_f1, report.ma_count = ma_report.macro_f1, len(ma)
+    sa, ma = split_sa_ma(list(samples))
+    pred_by_id = {id(s): p for s, p in zip(samples, preds)}
+    if sa:
+        sa_report = macro_f1([pred_by_id[id(s)] for s in sa], [s.label for s in sa])
+        report.sa_macro_f1, report.sa_count = sa_report.macro_f1, len(sa)
+    if ma:
+        ma_report = macro_f1([pred_by_id[id(s)] for s in ma], [s.label for s in ma])
+        report.ma_macro_f1, report.ma_count = ma_report.macro_f1, len(ma)
     return report
 
 
@@ -563,15 +549,17 @@ def ae_checkpoint_path(config: ExperimentConfig, domain: str) -> Path:
     return Path(config.checkpoint_dir) / f"ae_{domain}.best.ckpt"
 
 
-def cross_domain_run(ae_domain: str, alsa_domain: str, architecture: str,
-                     config: ExperimentConfig) -> MetricsReport:
-    """Export transfer rows from the `ae_domain` extractor over `alsa_domain`
-    sentences, train the widened classifier there, and score its test split."""
+def cross_domain_run(config: ExperimentConfig) -> MetricsReport:
+    """Export transfer rows from the `config.ae_domain` extractor over
+    `config.domain` sentences, train the widened `config.architecture`
+    classifier there, and score its test split."""
+    if config.ae_domain is None:
+        raise ConfigError("cross-domain runs need ae_domain")
+    ae_domain, alsa_domain, architecture = config.ae_domain, config.domain, config.architecture
     ckpt = ae_checkpoint_path(config, ae_domain)
     if not ckpt.exists():
         raise FileNotFoundError(f"missing AE checkpoint {ckpt} for domain {ae_domain!r}")
-    run_config = replace(config, task="alsa", architecture=architecture, input_mode="transfer",
-                         domain=alsa_domain, ae_domain=ae_domain,
+    run_config = replace(config, task="alsa", input_mode="transfer",
                          run_name=f"{architecture}-t_{alsa_domain}_from_{ae_domain}")
     datasets, vocab = load_domain(run_config)
     ae_model, _, _ = load_model(ckpt, vocab.matrix)

@@ -35,7 +35,7 @@ def test_aspect_span_validation():
 def test_default_transfer_width_is_64():
     store = ParamStore()
     emb = np.zeros((5, 8), dtype=np.float32)
-    model = AeModel.create(store, emb)
+    model = AeModel.create(store, emb, rng=np.random.default_rng(0))
     emissions, transfer = ae_forward(model, [0, 1, 2, 3])
     assert model.transfer_dim == 64
     assert transfer.data.shape == (4, 64)

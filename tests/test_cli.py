@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from absalab.checkpoint import load_archive
-from absalab.cli import main
+from absalab.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -148,8 +151,7 @@ def test_cross_domain_command(capsys, fixtures_dir, tmp_path):
         code, _, err = run_cli(capsys, "train-ae", "--domain", domain,
                                *base_args(fixtures_dir, tmp_path))
         assert code == 0, err
-    code, out, err = run_cli(capsys, "cross-domain", "--ae-domain", "laptop",
-                             "--alsa-domain", "restaurant",
+    code, out, err = run_cli(capsys, "cross-domain", "--ae-domain", "laptop", "--domain", "restaurant",
                              *base_args(fixtures_dir, tmp_path))
     assert code == 0, err
     record = json.loads(out.strip().splitlines()[-1])
@@ -181,3 +183,13 @@ def test_config_file_with_flag_override(capsys, fixtures_dir, tmp_path):
     assert code == 0, err
     log_lines = [line for line in out.strip().splitlines() if line.startswith("{")]
     assert len(log_lines) == 1  # override took effect
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("absalab ")]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)  # argparse exits on an unknown flag or missing argument

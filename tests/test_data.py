@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -242,6 +243,20 @@ def test_load_embeddings_non_numeric_errors(tmp_path):
         load_embeddings(bad, ["the"], expected_dim=2)
 
 
+def test_load_embeddings_checks_width_of_skipped_lines(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("the 0.1 0.2\nother 0.3\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"bad\.txt: line 2: vector has 1 values, expected 2"):
+        load_embeddings(bad, ["the"], expected_dim=2)
+
+
+def test_load_embeddings_parses_only_wanted_lines(tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("other 0.3 oops\nthe 0.1 0.2\nthe 0.5 nope\n", encoding="utf-8")
+    vocab = load_embeddings(vectors, ["the"], expected_dim=2)  # skipped lines are never parsed
+    npt.assert_array_equal(vocab.matrix[vocab.id_of("the")], np.float32([0.1, 0.2]))
+
+
 def test_vocabulary_ids_are_dense():
     vocab = Vocabulary.random(["b", "a", "c"], dim=4, seed=1)
     ids = sorted(set(vocab.token_to_id.values()) | {vocab.unk_id})
@@ -334,6 +349,23 @@ def _cache_lines(tmp_path, laptop_train_xml):
     return path, vocab, path.read_text(encoding="utf-8").splitlines()
 
 
+def test_dataset_cache_keeps_skipped_sentence_count(tmp_path):
+    xml = """<sentences><sentence id="o1"><text>great battery life here</text><aspectTerms>
+      <aspectTerm term="battery life" polarity="positive" from="6" to="18"/>
+      <aspectTerm term="life" polarity="negative" from="14" to="18"/>
+      </aspectTerms></sentence><sentence id="o2"><text>fine screen</text></sentence></sentences>"""
+    parsed = parse_semeval(xml)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=4, seed=0)
+    dataset = build_dataset(parsed, "laptop", vocab)
+    assert dataset.skipped_sentences == 1
+    assert len(dataset.samples) == 2  # overlapping aspects still yield samples
+    path = tmp_path / "cache.jsonl"
+    write_dataset_cache(path, dataset)
+    loaded = read_dataset_cache(path, vocab)
+    assert loaded.skipped_sentences == 1
+    assert loaded.samples == dataset.samples
+
+
 def test_dataset_cache_malformed_line_names_file_and_line(tmp_path, laptop_train_xml):
     path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
     lines[2] = lines[2][:-5]
@@ -350,3 +382,47 @@ def test_dataset_cache_missing_field_names_file_and_line(tmp_path, laptop_train_
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(IngestError, match=r"cache\.jsonl: line 2: missing field 'tokens'"):
         read_dataset_cache(path, vocab)
+
+
+# -- ingest errors name the file and the sentence -------------------------------------
+
+
+def _one_sentence_xml(text: str, aspect: str = "") -> str:
+    return (f'<sentences><sentence id="s1"><text>ok</text></sentence><sentence id="s2"><text>{text}</text>'
+            f"<aspectTerms>{aspect}</aspectTerms></sentence></sentences>")
+
+
+UNTOKENIZABLE = {
+    "whitespace-text": (_one_sentence_xml("   "), "cannot tokenize empty or whitespace-only text"),
+    "whitespace-aspect": (_one_sentence_xml("a  b", '<aspectTerm term=" " polarity="positive" from="1" to="2"/>'),
+                          r"aspect ' ' \[1, 2\) matches no token"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNTOKENIZABLE))
+def test_untokenizable_sentence_names_file_and_sentence(case, tmp_path, capsys):
+    from absalab.cli import main
+    from absalab.harness import ExperimentConfig, load_domain
+
+    xml, message = UNTOKENIZABLE[case]
+    path = tmp_path / "laptop_train.xml"
+    path.write_text(xml, encoding="utf-8")
+    expected = f"{re.escape(str(path))}: sentence 's2': {message}"
+    with pytest.raises(IngestError, match=expected):
+        load_domain(ExperimentConfig(data_dir=str(tmp_path), embedding_dim=4), require=("train",))
+    assert main(["ingest", "--xml", str(path)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    assert re.search(f"IngestError: {expected}", error)
+
+
+def test_conflict_aspect_covering_no_token_loads_without_tagging_gold(tmp_path):
+    from absalab.harness import ExperimentConfig, load_domain
+
+    xml = _one_sentence_xml("a  b", '<aspectTerm term=" " polarity="conflict" from="1" to="2"/>'
+                                    '<aspectTerm term="b" polarity="negative" from="3" to="4"/>')
+    (tmp_path / "laptop_train.xml").write_text(xml, encoding="utf-8")
+    datasets, _ = load_domain(ExperimentConfig(data_dir=str(tmp_path), embedding_dim=4), require=("train",))
+    by_id = {s.sentence_id: s for s in datasets["train"].sentences}
+    assert by_id["s2"].bio is None
+    assert datasets["train"].skipped_sentences == 1
+    assert [(s.sentence_id, s.span) for s in datasets["train"].samples] == [("s2", AspectSpan(1, 1))]

@@ -70,6 +70,9 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         ExperimentConfig.from_mapping({"nope": "1"})
     with pytest.raises(ConfigError, match="cannot parse"):
         ExperimentConfig.from_mapping({"epochs": "many"})
+    with pytest.raises(ConfigError, match="'epochs' must not be empty"):
+        ExperimentConfig.from_mapping({"epochs": "none"})
+    assert ExperimentConfig.from_mapping({"ae_domain": "restaurant"}).ae_domain == "restaurant"
     with pytest.raises(ConfigError):
         ExperimentConfig(task="paint")
     with pytest.raises(ConfigError):
@@ -181,6 +184,17 @@ def test_load_domain_without_test_split(fixtures_dir, tmp_path):
         load_domain(config, require=("train",))
 
 
+def test_load_domain_tokenizes_each_sentence_once(fixtures_dir, tmp_path, monkeypatch):
+    from absalab import data
+
+    calls = []
+    tokenize = data.tokenize
+    monkeypatch.setattr(data, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    datasets, _ = load_domain(tiny_config(fixtures_dir, tmp_path))
+    sentences = [s.text for split in ("train", "test") for s in datasets[split].sentences]
+    assert sentences and calls == sentences
+
+
 def test_train_and_eval_splits_share_one_vocabulary(fixtures_dir, tmp_path):
     config = tiny_config(fixtures_dir, tmp_path)
     train_sets, train_vocab = load_domain(config, require=("train",))
@@ -196,7 +210,7 @@ def test_train_and_eval_splits_share_one_vocabulary(fixtures_dir, tmp_path):
 def test_corpus_span_f1_examples():
     # zero weights give zero BiGRU states and emissions, so the CRF tables alone fix the path B I O O
     store = ParamStore()
-    model = AeModel.create(store, np.zeros((1, 2)), hidden_dim=2, dtype=np.float64)
+    model = AeModel.create(store, np.zeros((1, 2)), hidden_dim=2, rng=np.random.default_rng(0), dtype=np.float64)
     model.crf.emission_weight.data[...] = 0.0
     for cell in (model.gru_fwd, model.gru_bwd):
         for t in (cell.w, cell.u, cell.b):
@@ -396,9 +410,9 @@ def test_cross_domain_run_all_twelve_cells(fixtures_dir, tmp_path):
     for architecture in ("tclstm", "atae", "ian"):
         for ae_domain in ("laptop", "restaurant"):
             for alsa_domain in ("laptop", "restaurant"):
-                config = tiny_config(fixtures_dir, tmp_path, epochs=1)
-                report = reports[(architecture, ae_domain, alsa_domain)] = cross_domain_run(
-                    ae_domain, alsa_domain, architecture, config)
+                config = tiny_config(fixtures_dir, tmp_path, epochs=1, architecture=architecture,
+                                     ae_domain=ae_domain, domain=alsa_domain)
+                report = reports[(architecture, ae_domain, alsa_domain)] = cross_domain_run(config)
                 assert report.extras["ae_domain"] == ae_domain
                 assert report.extras["alsa_domain"] == alsa_domain
                 assert report.extras["architecture"] == architecture
@@ -408,10 +422,12 @@ def test_cross_domain_run_all_twelve_cells(fixtures_dir, tmp_path):
 
 
 def test_cross_domain_missing_checkpoint_errors(fixtures_dir, tmp_path):
-    config = tiny_config(fixtures_dir, tmp_path / "empty")
+    config = tiny_config(fixtures_dir, tmp_path / "empty", ae_domain="laptop", domain="restaurant")
     with pytest.raises(FileNotFoundError, match="ae_laptop"):
-        cross_domain_run("laptop", "restaurant", "atae", config)
+        cross_domain_run(config)
     assert ae_checkpoint_path(config, "laptop").name == "ae_laptop.best.ckpt"
+    with pytest.raises(ConfigError, match="ae_domain"):
+        cross_domain_run(tiny_config(fixtures_dir, tmp_path / "empty"))
 
 
 # -- attention dumps -----------------------------------------------------------------------------
