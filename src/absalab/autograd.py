@@ -256,12 +256,16 @@ def tanh(t: Tensor) -> Tensor:
     return _node(data, (t,), backward)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """The sigmoid of an array, in its dtype; `sigmoid` and the sequence kernels share it."""
+    # Stable in both tails: exp of a non-positive argument only.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
+
+
 def sigmoid(t: Tensor) -> Tensor:
     t = _wrap(t)
-    # Stable in both tails: exp of a non-positive argument only.
-    x = t.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    data = data.astype(x.dtype, copy=False)
+    data = logistic(t.data)
 
     def backward(g):
         _accumulate(t, g * data * (1.0 - data))

@@ -147,7 +147,7 @@ def _cmd_ingest(args) -> int:
     """Parse one XML file and print the class/SA/MA distribution."""
     parsed = read_semeval(args.xml)
     if args.embeddings:
-        vocab = load_embeddings(args.embeddings, collect_tokens(parsed))
+        vocab = load_embeddings(args.embeddings, collect_tokens(parsed), expected_dim=None)
     else:
         vocab = Vocabulary.random(collect_tokens(parsed), dim=16, seed=0)
     dataset = build_dataset(parsed, args.domain, vocab)
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse one dataset file and print its distribution")
     p.add_argument("--xml", required=True)
     p.add_argument("--domain", default="laptop")
-    p.add_argument("--embeddings", default=None)
+    p.add_argument("--embeddings", default=None, help="vector file; its first line sets the width")
     p.set_defaults(fn=_cmd_ingest)
 
     return parser

@@ -198,14 +198,14 @@ class Vocabulary:
         return cls(mapping, matrix, unk_id=len(uniq))
 
 
-def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int = GLOVE_DIM) -> Vocabulary:
+def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | None = GLOVE_DIM) -> Vocabulary:
     """Load whitespace-separated embedding vectors for the requested tokens.
 
     Tokens absent from the file share one UNK id whose row is drawn
     uniformly from [-0.25, 0.25] with a fixed seed. The vector width must
     equal `expected_dim` (300 for the pretrained vectors used here) on
-    every line; components are parsed only on the first line of each
-    wanted token.
+    every line; with `expected_dim=None` the first line sets it. Components
+    are parsed only on the first line of each wanted token.
     """
     wanted = {t.lower() for t in vocabulary_tokens}
     found: dict[str, np.ndarray] = {}
@@ -213,6 +213,10 @@ def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int = 
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             width = line.count(" ")
+            if expected_dim is None:
+                if width < 1:
+                    raise IngestError(f"{path}: line {lineno}: vector has no values")
+                expected_dim = width
             if width != expected_dim:
                 raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
             token = line.partition(" ")[0]
@@ -222,6 +226,8 @@ def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int = 
                 found[token] = np.asarray([float(x) for x in line.split(" ")[1:]], dtype=np.float32)
             except ValueError:
                 raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
+    if expected_dim is None:
+        raise IngestError(f"{path}: no vectors to take the width from")
     ordered = sorted(found)
     rng = np.random.default_rng(UNK_SEED)
     unk_row = rng.uniform(-UNK_INIT_RANGE, UNK_INIT_RANGE, size=expected_dim).astype(np.float32)

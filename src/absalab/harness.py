@@ -320,6 +320,12 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
     the on-disk transfer cache for in-process pipelines.
     """
     datasets, vocab = load_domain(config, require=("train",))
+    return _train_loaded(config, datasets, vocab, st_source)
+
+
+def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab: Vocabulary,
+                  st_source: dict[str, np.ndarray] | None) -> TrainResult:
+    """`train` on the datasets and vocabulary `load_domain(config)` returned."""
     train_set = datasets["train"]
     if config.input_mode == "transfer" and st_source is None:
         if not config.st_cache_path:
@@ -566,7 +572,8 @@ def cross_domain_run(config: ExperimentConfig) -> MetricsReport:
     st_source = {}
     for split_dataset in datasets.values():
         st_source.update(export_transfer_cache(ae_model, dataset_sentence_ids(split_dataset, vocab)))
-    result = train(replace(run_config, transfer_dim=ae_model.transfer_dim), st_source=st_source)
+    # the splits loaded above are what train would load: same files, same vocabulary
+    result = _train_loaded(replace(run_config, transfer_dim=ae_model.transfer_dim), datasets, vocab, st_source)
     model, store = result.model, result.store
     store.load_values(result.best_state)
     mode = InputMode.transfer(st_source, ae_model.transfer_dim)

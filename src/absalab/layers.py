@@ -22,7 +22,7 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, d
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-# Initial bias of each gate, in the gate order of `gru_step` and `lstm_step`.
+# Initial bias of each gate, in the kernels' gate order.
 GRU = (0.0, 0.0, 0.0)  # update, reset, candidate
 LSTM = (0.0, 1.0, 0.0, 0.0)  # in, forget (starts at 1.0), out, cell
 
@@ -102,43 +102,126 @@ def embed(token_ids, embedding_matrix) -> Tensor:
     return Tensor(matrix[ids])
 
 
-def _gate_blocks(cell: CellParams) -> list[tuple[Tensor, Tensor, Tensor]]:
-    """(w, u, b) of each gate as tape nodes; taken once per sequence."""
-    return [(cell.w[k], cell.u[k], cell.b[k]) for k in range(cell.b.data.shape[0])]
+def _add_weight_grads(cell: CellParams, x: np.ndarray, order: list[int], recurrent: list[tuple[np.ndarray, ...]],
+                      dzs: list[list[np.ndarray]], deferred: int | None) -> None:
+    """Add a sequence's gradient into the cell's (w, u, b), term by term.
+
+    `order` lists the input rows in computation order. For the j-th step
+    computed, `dzs[j][k]` is gate k's pre-activation gradient and
+    `recurrent[j][k]` the vector gate k's recurrent weights multiplied.
+    Each weight term is one outer product and one add. The terms are added
+    from the last-computed step back, except the input-weight terms of gate
+    `deferred`, which are added from the first-computed step on.
+    """
+    gw, gu, gb = np.zeros_like(cell.w.data), np.zeros_like(cell.u.data), np.zeros_like(cell.b.data)
+    w_term, u_term = np.empty_like(gw[0]), np.empty_like(gu[0])
+    back = range(len(order) - 1, -1, -1)
+    for k in range(gb.shape[0]):  # gate by gate, so each sum stays in cache
+        for j in range(len(order)) if k == deferred else back:
+            # einsum: np.outer's products, written into a scratch array
+            gw[k] += np.einsum("i,j->ij", x[order[j]], dzs[j][k], out=w_term)
+        for j in back:
+            gu[k] += np.einsum("i,j->ij", recurrent[j][k], dzs[j][k], out=u_term)
+            gb[k] += dzs[j][k]
+    ag._accumulate(cell.w, gw)
+    ag._accumulate(cell.u, gu)
+    ag._accumulate(cell.b, gb)
 
 
-def gru_step(gates: list[tuple[Tensor, Tensor, Tensor]], x: Tensor, h: Tensor) -> Tensor:
-    (w_z, u_z, b_z), (w_r, u_r, b_r), (w_c, u_c, b_c) = gates
-    z = ag.sigmoid(x @ w_z + h @ u_z + b_z)
-    r = ag.sigmoid(x @ w_r + h @ u_r + b_r)
-    cand = ag.tanh(x @ w_c + (r * h) @ u_c + b_c)
-    return (1.0 - z) * h + z * cand
+# Each kernel below runs a whole sequence as one tape node. Its forward pass
+# makes the numpy calls of a per-step tape: one GEMV per gate block, in the
+# form (x @ w[k] + h @ u[k]) + b[k]. Its backward pass adds every gradient
+# term in the order that tape's depth-first walk adds them, so float32
+# results keep their bits; `tests/recurrence_oracle.py` holds that tape.
+# One GEMV for all gates, one GEMM for all steps or an `X.T @ dZ` weight
+# gradient would each change the last bits.
 
 
-def lstm_step(gates: list[tuple[Tensor, Tensor, Tensor]], x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    (w_i, u_i, b_i), (w_f, u_f, b_f), (w_o, u_o, b_o), (w_g, u_g, b_g) = gates
-    i = ag.sigmoid(x @ w_i + h @ u_i + b_i)
-    f = ag.sigmoid(x @ w_f + h @ u_f + b_f)
-    o = ag.sigmoid(x @ w_o + h @ u_o + b_o)
-    g = ag.tanh(x @ w_g + h @ u_g + b_g)
-    c_next = f * c + i * g
-    h_next = o * ag.tanh(c_next)
-    return h_next, c_next
+def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool, final_only: bool) -> Tensor:
+    x, w, u, b = inputs.data, cell.w.data, cell.u.data, cell.b.data
+    n = x.shape[0]
+    order = list(range(n - 1, -1, -1) if reverse else range(n))
+    states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
+    saved = []  # per step: h and c before it, its gates i, f, o, g and tanh(c)
+    h = c = np.zeros(cell.hidden_dim, dtype=x.dtype)
+    for t in order:
+        z = [(x[t] @ w[k] + h @ u[k]) + b[k] for k in range(4)]
+        i, f, o, g = ag.logistic(z[0]), ag.logistic(z[1]), ag.logistic(z[2]), np.tanh(z[3])
+        c_next = f * c + i * g
+        tanh_c = np.tanh(c_next)
+        saved.append((h, c, i, f, o, g, tanh_c))
+        h, c = o * tanh_c, c_next
+        states[t] = h
+
+    def backward(grad):
+        gx = np.zeros_like(x) if inputs.requires_grad else None
+        dzs = [None] * n
+        dh, dc_next = grad[order[-1]], None
+        for j in range(n - 1, -1, -1):
+            t = order[j]
+            h_prev, c_prev, i, f, o, g, tanh_c = saved[j]
+            dc = (dh * o) * (1.0 - tanh_c * tanh_c)
+            if dc_next is not None:
+                dc = dc_next + dc
+            dz = dzs[j] = [((dc * g) * i) * (1.0 - i), ((dc * c_prev) * f) * (1.0 - f),
+                           ((dh * tanh_c) * o) * (1.0 - o), (dc * i) * (1.0 - g * g)]
+            dc_next = dc * f
+            if gx is not None:  # gates 3, 0, 1, 2, as for h below
+                gx[t] = w[3] @ dz[3]
+                for k in range(3):
+                    gx[t] += w[k] @ dz[k]
+            if j:  # the downstream row, then the recurrent terms
+                dh = grad[order[j - 1]] + u[3] @ dz[3]
+                for k in range(3):
+                    dh += u[k] @ dz[k]
+        ag._accumulate(inputs, gx)
+        # A walk that enters at the final state reaches the output gate's
+        # input term of every step before any other node.
+        _add_weight_grads(cell, x, order, [(s[0],) * 4 for s in saved], dzs, 2 if final_only else None)
+
+    return ag._node(states, (inputs, cell.w, cell.u, cell.b), backward)
 
 
-def _scan(cell: CellParams, inputs: Tensor, reverse: bool, lstm: bool) -> list[Tensor]:
-    """One cell's hidden state at each row of `inputs` (aligned with the rows), from zero states."""
-    n = inputs.data.shape[0]
-    gates = _gate_blocks(cell)
-    h = c = Tensor(np.zeros(cell.hidden_dim, dtype=inputs.data.dtype))
-    states: list[Tensor] = [None] * n  # type: ignore[list-item]
-    for i in range(n - 1, -1, -1) if reverse else range(n):
-        if lstm:
-            h, c = lstm_step(gates, inputs[i], h, c)
-        else:
-            h = gru_step(gates, inputs[i], h)
-        states[i] = h
-    return states
+def _gru_direction(x: np.ndarray, cell: CellParams, reverse: bool):
+    """One direction of a BiGRU: its states (aligned with the rows of `x`)
+    and the function that adds their gradient into the cell."""
+    w, u, b = cell.w.data, cell.u.data, cell.b.data
+    n = x.shape[0]
+    order = list(range(n - 1, -1, -1) if reverse else range(n))
+    states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
+    saved = []  # per step: h before it, its update and reset gates, r * h, the candidate
+    h = np.zeros(cell.hidden_dim, dtype=x.dtype)
+    for t in order:
+        z = ag.logistic((x[t] @ w[0] + h @ u[0]) + b[0])
+        r = ag.logistic((x[t] @ w[1] + h @ u[1]) + b[1])
+        rh = r * h
+        cand = np.tanh((x[t] @ w[2] + rh @ u[2]) + b[2])
+        saved.append((h, z, r, rh, cand))
+        h = (1.0 - z) * h + z * cand
+        states[t] = h
+
+    def backward(grad):
+        dzs = [None] * n
+        dh = grad[order[-1]]
+        for j in range(n - 1, -1, -1):
+            h_prev, z, r, _, cand = saved[j]
+            d_cand = (dh * z) * (1.0 - cand * cand)
+            d_rh = u[2] @ d_cand
+            dz = dzs[j] = [((dh * cand - dh * h_prev) * z) * (1.0 - z), ((d_rh * h_prev) * r) * (1.0 - r), d_cand]
+            if j:
+                terms = [d_rh * r, u[1] @ dz[1], dh * (1.0 - z), u[0] @ dz[0]]
+                row = grad[order[j - 1]]
+                # the backward direction's downstream row comes first, the forward one's last
+                terms = [row, *terms] if reverse else [*terms, row]
+                dh = terms[0] + terms[1]
+                for term in terms[2:]:
+                    dh += term
+        # Output row i pairs forward state i with backward state i, so the
+        # walk enters the backward direction at its last-computed state and
+        # reaches the update gate's input term of every step first.
+        _add_weight_grads(cell, x, order, [(s[0], s[0], s[3]) for s in saved], dzs, 0 if reverse else None)
+
+    return states, backward
 
 
 def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
@@ -146,7 +229,8 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
 
     Row i of the output concatenates the forward state after consuming
     rows 0..i with the backward state after consuming rows n-1..i, so the
-    output width is exactly 2 * hidden_dim.
+    output width is exactly 2 * hidden_dim. The input rows are frozen
+    (embedding rows): an input that requires grad is an error.
     """
     n = inputs.data.shape[0]
     if n == 0:
@@ -154,17 +238,30 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     if inputs.data.shape[1] != fwd.input_dim or inputs.data.shape[1] != bwd.input_dim:
         raise ag.ShapeError("run_bigru", inputs.shape, (fwd.input_dim,), (bwd.input_dim,),
                             detail="input width must match both cells")
-    forward_states = _scan(fwd, inputs, reverse=False, lstm=False)
-    backward_states = _scan(bwd, inputs, reverse=True, lstm=False)
-    return ag.stack_rows([ag.concat([f, b]) for f, b in zip(forward_states, backward_states)])
+    if inputs.requires_grad:
+        raise ValueError("run_bigru takes frozen input rows, got an input that requires grad")
+    forward_states, forward_backward = _gru_direction(inputs.data, fwd, reverse=False)
+    backward_states, backward_backward = _gru_direction(inputs.data, bwd, reverse=True)
+    split = fwd.hidden_dim
+
+    def backward(grad):
+        forward_backward(grad[:, :split])
+        backward_backward(grad[:, split:])
+
+    return ag._node(np.concatenate([forward_states, backward_states], axis=1),
+                    (fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), backward)
 
 
-def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
+def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward",
+             final_only: bool = False) -> tuple[Tensor, Tensor]:
     """LSTM over `inputs` rows; returns (all_states, final_state).
 
     `direction="backward"` consumes rows right to left; all_states rows stay
     aligned with input positions. Empty input yields a 0 x hidden state
-    matrix and a zero final state.
+    matrix and a zero final state. Pass `final_only=True` when the loss
+    reads only the final state: the gradient is the same, but one of its
+    sums then runs in the order that keeps its float32 bits equal to a
+    per-step tape's.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -175,8 +272,8 @@ def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tu
     if inputs.data.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
     reverse = direction == "backward"
-    states = _scan(cell, inputs, reverse, lstm=True)
-    return ag.stack_rows(states), states[0] if reverse else states[-1]
+    states = _lstm_kernel(inputs, cell, reverse, final_only)
+    return states, states[0 if reverse else n - 1]
 
 
 def additive_attention(keys: Tensor, query: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:

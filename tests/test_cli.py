@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,26 @@ def test_ingest_command_counts(capsys, fixtures_dir, tmp_path):
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary == {"sentences": 6, "samples": 5, "positive": 1, "negative": 3,
                        "neutral": 1, "sa": 3, "ma": 2}
+
+
+def test_ingest_command_takes_the_vector_width_from_the_file(capsys, fixtures_dir):
+    xml = str(fixtures_dir / "laptop_train.xml")
+    code, plain, err = run_cli(capsys, "ingest", "--xml", xml)
+    assert code == 0, err
+    code, with_vectors, err = run_cli(capsys, "ingest", "--xml", xml,
+                                      "--embeddings", str(fixtures_dir / "mini_vectors.txt"))  # 5-d
+    assert code == 0, err
+    assert with_vectors == plain
+
+
+def test_ingest_command_names_the_line_of_a_short_vector(capsys, fixtures_dir, tmp_path):
+    vectors = tmp_path / "short.txt"
+    vectors.write_text("the 0.1 0.2 0.3\nscreen 0.4 0.5 0.6\nbattery 0.7 0.8\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "ingest", "--xml", str(fixtures_dir / "laptop_train.xml"),
+                           "--embeddings", str(vectors))
+    assert code == 1
+    message = json.loads(err.strip().splitlines()[-1])["error"]
+    assert "line 3: vector has 2 values, expected 3" in message
 
 
 def test_ingest_command_error_names_file_and_sentence(capsys, tmp_path):
@@ -193,3 +216,23 @@ def test_readme_command_lines_parse():
     assert commands
     for argv in commands:
         build_parser().parse_args(argv)  # argparse exits on an unknown flag or missing argument
+
+
+def test_training_is_bit_identical_with_one_or_two_blas_threads(fixtures_dir, tmp_path):
+    # Per-step code calls only GEMVs and small GEMMs, whose bits do not depend on
+    # the BLAS thread count; a larger GEMM could, and would fail here.
+    root = Path(__file__).resolve().parents[1]
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(root / "src")}
+        for command in (["train-alsa", "--architecture", "atae"], ["train-ae"]):
+            # no vector file: the fixture vocabulary gets seeded random 300-d rows
+            proc = subprocess.run([sys.executable, "-m", "absalab", *command, "--data-dir", str(fixtures_dir),
+                                   "--domain", "laptop", "--epochs", "2", "--checkpoint-dir", str(tmp_path / threads)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+    one, two = sorted((tmp_path / "1").iterdir()), sorted((tmp_path / "2").iterdir())
+    assert [p.name for p in one] == [p.name for p in two]
+    assert any(p.suffix == ".ckpt" for p in one) and any(p.name.endswith(".log.jsonl") for p in one)
+    for a, b in zip(one, two):
+        assert a.read_bytes() == b.read_bytes(), a.name

@@ -257,6 +257,16 @@ def test_load_embeddings_parses_only_wanted_lines(tmp_path):
     npt.assert_array_equal(vocab.matrix[vocab.id_of("the")], np.float32([0.1, 0.2]))
 
 
+def test_load_embeddings_without_a_width_takes_the_first_lines(fixtures_dir, tmp_path):
+    vocab = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "screen"], expected_dim=None)
+    assert vocab.matrix.shape[1] == 5
+    for text, message in (("", "no vectors"), ("the\nscreen 0.1\n", "line 1: vector has no values")):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(text, encoding="utf-8")
+        with pytest.raises(IngestError, match=message):
+            load_embeddings(vectors, ["the"], expected_dim=None)
+
+
 def test_vocabulary_ids_are_dense():
     vocab = Vocabulary.random(["b", "a", "c"], dim=4, seed=1)
     ids = sorted(set(vocab.token_to_id.values()) | {vocab.unk_id})

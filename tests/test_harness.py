@@ -421,6 +421,20 @@ def test_cross_domain_run_all_twelve_cells(fixtures_dir, tmp_path):
     assert len(schemas) == 1  # identical report schema across cells
 
 
+def test_cross_domain_run_loads_its_domain_once(fixtures_dir, tmp_path, monkeypatch):
+    from absalab import harness
+
+    vectors = dict(embeddings_path=str(fixtures_dir / "mini_vectors.txt"), embedding_dim=5)
+    train(tiny_config(fixtures_dir, tmp_path, task="ae", domain="laptop", epochs=1, **vectors))
+    parsed, scans = [], []
+    read_semeval, load_embeddings = harness.read_semeval, harness.load_embeddings
+    monkeypatch.setattr(harness, "read_semeval", lambda path: parsed.append(path) or read_semeval(path))
+    monkeypatch.setattr(harness, "load_embeddings", lambda *a, **k: scans.append(a[0]) or load_embeddings(*a, **k))
+    cross_domain_run(tiny_config(fixtures_dir, tmp_path, epochs=1, ae_domain="laptop", domain="restaurant", **vectors))
+    assert sorted(p.name for p in parsed) == ["restaurant_test.xml", "restaurant_train.xml"]
+    assert len(scans) == 1
+
+
 def test_cross_domain_missing_checkpoint_errors(fixtures_dir, tmp_path):
     config = tiny_config(fixtures_dir, tmp_path / "empty", ae_domain="laptop", domain="restaurant")
     with pytest.raises(FileNotFoundError, match="ae_laptop"):

@@ -115,6 +115,15 @@ def test_bigru_rejects_empty_input():
         run_bigru(Tensor(np.zeros((0, 3))), fwd, bwd)
 
 
+def test_bigru_rejects_input_that_requires_grad():
+    # its input is frozen embedding rows; a gradient for it would be dropped
+    store = ParamStore()
+    fwd = make_gru(store, "f", 3, 4)
+    bwd = make_gru(store, "b", 3, 4)
+    with pytest.raises(ValueError, match="frozen"):
+        run_bigru(Tensor(np.zeros((2, 3)), requires_grad=True), fwd, bwd)
+
+
 # -- LSTM -------------------------------------------------------------------------
 
 
