@@ -32,8 +32,7 @@ class CellParams:
     """Weights of one directional recurrent cell, stacked gate by gate.
 
     `w` is gates x input_dim x hidden_dim, `u` gates x hidden_dim x
-    hidden_dim and `b` gates x hidden_dim, so each gate's block is one
-    contiguous array and the step functions multiply gate by gate.
+    hidden_dim and `b` gates x hidden_dim: one contiguous block per gate.
     """
 
     input_dim: int
@@ -102,50 +101,50 @@ def embed(token_ids, embedding_matrix) -> Tensor:
     return Tensor(matrix[ids])
 
 
-def _add_weight_grads(cell: CellParams, x: np.ndarray, order: list[int], recurrent: list[tuple[np.ndarray, ...]],
-                      dzs: list[list[np.ndarray]], deferred: int | None) -> None:
-    """Add a sequence's gradient into the cell's (w, u, b), term by term.
-
-    `order` lists the input rows in computation order. For the j-th step
-    computed, `dzs[j][k]` is gate k's pre-activation gradient and
-    `recurrent[j][k]` the vector gate k's recurrent weights multiplied.
-    Each weight term is one outer product and one add. The terms are added
-    from the last-computed step back, except the input-weight terms of gate
-    `deferred`, which are added from the first-computed step on.
-    """
-    gw, gu, gb = np.zeros_like(cell.w.data), np.zeros_like(cell.u.data), np.zeros_like(cell.b.data)
-    w_term, u_term = np.empty_like(gw[0]), np.empty_like(gu[0])
-    back = range(len(order) - 1, -1, -1)
-    for k in range(gb.shape[0]):  # gate by gate, so each sum stays in cache
-        for j in range(len(order)) if k == deferred else back:
-            # einsum: np.outer's products, written into a scratch array
-            gw[k] += np.einsum("i,j->ij", x[order[j]], dzs[j][k], out=w_term)
-        for j in back:
-            gu[k] += np.einsum("i,j->ij", recurrent[j][k], dzs[j][k], out=u_term)
-            gb[k] += dzs[j][k]
-    ag._accumulate(cell.w, gw)
-    ag._accumulate(cell.u, gu)
-    ag._accumulate(cell.b, gb)
+# Each kernel below runs a whole sequence as one tape node and keeps the
+# float32 bits of a per-step tape (`tests/recurrence_oracle.py`): its numpy
+# calls forward, (x @ w[k] + h @ u[k]) + b[k] per gate, and its order of
+# backward terms. Batching keeps them: a matmul over stacked (1, d) @ (d, h)
+# or (d, h) @ (h, 1) blocks makes one GEMV per block, and einsum adds each
+# rounded product into `out` row by row. Not exact: a GEMM over the steps,
+# `X.T @ dZ`, or einsum into a 1 x 1 output (a dot kernel with several
+# accumulators) or given a reversed view and `out=` (another row order).
 
 
-# Each kernel below runs a whole sequence as one tape node. Its forward pass
-# makes the numpy calls of a per-step tape: one GEMV per gate block, in the
-# form (x @ w[k] + h @ u[k]) + b[k]. Its backward pass adds every gradient
-# term in the order that tape's depth-first walk adds them, so float32
-# results keep their bits; `tests/recurrence_oracle.py` holds that tape.
-# One GEMV for all gates, one GEMM for all steps or an `X.T @ dZ` weight
-# gradient would each change the last bits.
+def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Set `out` to 0 + outer(a[0], b[0]) + outer(a[1], b[1]) + ..., added in that order."""
+    if out.shape == (1, 1):  # accumulate adds in sequence by definition
+        out[0, 0] = np.add.accumulate(np.insert(a[:, 0] * b[:, 0], 0, 0))[-1]
+    else:
+        np.einsum("ti,tj->ij", a, b, out=out)
+
+
+def _add_weight_grads(cell: CellParams, inputs: np.ndarray, recurrent: list[np.ndarray], dz: np.ndarray,
+                      deferred: int | None) -> None:
+    """Add a sequence's gradient into the cell's (w, u, b). Row r of `inputs`,
+    `recurrent[k]` and `dz[k]` is the r-th step back from the last computed:
+    its input, gate k's recurrent vector and pre-activation gradient, added in
+    that order; gate `deferred`'s input-weight terms add from the first step."""
+    gw, gu, gb = (np.empty_like(p.data) for p in (cell.w, cell.u, cell.b))
+    for k in range(len(gb)):
+        rows, grads = (inputs[::-1].copy(), dz[k][::-1].copy()) if k == deferred else (inputs, dz[k])
+        _outer_sum(rows, grads, gw[k])
+        _outer_sum(recurrent[k], dz[k], gu[k])
+        gb[k] = np.add.accumulate(np.insert(dz[k], 0, 0, axis=0), axis=0)[-1]  # row by row from 0
+    for param, g in ((cell.w, gw), (cell.u, gu), (cell.b, gb)):
+        ag._accumulate(param, g)
 
 
 def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool, final_only: bool) -> Tensor:
     x, w, u, b = inputs.data, cell.w.data, cell.u.data, cell.b.data
     n = x.shape[0]
     order = list(range(n - 1, -1, -1) if reverse else range(n))
+    xw = np.matmul(x[:, None, None, :], w)[:, :, 0]  # row t, gate k: x[t] @ w[k]
     states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
     saved = []  # per step: h and c before it, its gates i, f, o, g and tanh(c)
     h = c = np.zeros(cell.hidden_dim, dtype=x.dtype)
     for t in order:
-        z = [(x[t] @ w[k] + h @ u[k]) + b[k] for k in range(4)]
+        z = [(xw[t, k] + h @ u[k]) + b[k] for k in range(4)]
         i, f, o, g = ag.logistic(z[0]), ag.logistic(z[1]), ag.logistic(z[2]), np.tanh(z[3])
         c_next = f * c + i * g
         tanh_c = np.tanh(c_next)
@@ -154,30 +153,28 @@ def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool, final_only: bo
         states[t] = h
 
     def backward(grad):
-        gx = np.zeros_like(x) if inputs.requires_grad else None
-        dzs = [None] * n
+        dz = np.empty((4, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
         dh, dc_next = grad[order[-1]], None
         for j in range(n - 1, -1, -1):
-            t = order[j]
             h_prev, c_prev, i, f, o, g, tanh_c = saved[j]
             dc = (dh * o) * (1.0 - tanh_c * tanh_c)
             if dc_next is not None:
                 dc = dc_next + dc
-            dz = dzs[j] = [((dc * g) * i) * (1.0 - i), ((dc * c_prev) * f) * (1.0 - f),
-                           ((dh * tanh_c) * o) * (1.0 - o), (dc * i) * (1.0 - g * g)]
+            d = dz[:, n - 1 - j] = (((dc * g) * i) * (1.0 - i), ((dc * c_prev) * f) * (1.0 - f),
+                                    ((dh * tanh_c) * o) * (1.0 - o), (dc * i) * (1.0 - g * g))
             dc_next = dc * f
-            if gx is not None:  # gates 3, 0, 1, 2, as for h below
-                gx[t] = w[3] @ dz[3]
+            if j:  # the downstream row, then the recurrent terms in the gate order 3, 0, 1, 2
+                dh = grad[order[j - 1]] + u[3] @ d[3]
                 for k in range(3):
-                    gx[t] += w[k] @ dz[k]
-            if j:  # the downstream row, then the recurrent terms
-                dh = grad[order[j - 1]] + u[3] @ dz[3]
-                for k in range(3):
-                    dh += u[k] @ dz[k]
-        ag._accumulate(inputs, gx)
+                    dh += u[k] @ d[k]
+        if inputs.requires_grad:  # row r: w[k] @ dz[k, r] over the gates 3, 0, 1, 2, as for h above
+            terms = np.matmul(w[:, None], dz[..., None])[..., 0]
+            gx = ((terms[3] + terms[0]) + terms[1]) + terms[2]
+            ag._accumulate(inputs, gx if reverse else gx[::-1])
         # A walk that enters at the final state reaches the output gate's
         # input term of every step before any other node.
-        _add_weight_grads(cell, x, order, [(s[0],) * 4 for s in saved], dzs, 2 if final_only else None)
+        h_back = np.array([s[0] for s in reversed(saved)])
+        _add_weight_grads(cell, x[order[::-1]], [h_back] * 4, dz, 2 if final_only else None)
 
     return ag._node(states, (inputs, cell.w, cell.u, cell.b), backward)
 
@@ -188,38 +185,40 @@ def _gru_direction(x: np.ndarray, cell: CellParams, reverse: bool):
     w, u, b = cell.w.data, cell.u.data, cell.b.data
     n = x.shape[0]
     order = list(range(n - 1, -1, -1) if reverse else range(n))
+    xw = np.matmul(x[:, None, None, :], w)[:, :, 0]  # row t, gate k: x[t] @ w[k]
     states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
     saved = []  # per step: h before it, its update and reset gates, r * h, the candidate
     h = np.zeros(cell.hidden_dim, dtype=x.dtype)
     for t in order:
-        z = ag.logistic((x[t] @ w[0] + h @ u[0]) + b[0])
-        r = ag.logistic((x[t] @ w[1] + h @ u[1]) + b[1])
+        z = ag.logistic((xw[t, 0] + h @ u[0]) + b[0])
+        r = ag.logistic((xw[t, 1] + h @ u[1]) + b[1])
         rh = r * h
-        cand = np.tanh((x[t] @ w[2] + rh @ u[2]) + b[2])
+        cand = np.tanh((xw[t, 2] + rh @ u[2]) + b[2])
         saved.append((h, z, r, rh, cand))
         h = (1.0 - z) * h + z * cand
         states[t] = h
 
     def backward(grad):
-        dzs = [None] * n
+        dz = np.empty((3, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
         dh = grad[order[-1]]
         for j in range(n - 1, -1, -1):
             h_prev, z, r, _, cand = saved[j]
             d_cand = (dh * z) * (1.0 - cand * cand)
             d_rh = u[2] @ d_cand
-            dz = dzs[j] = [((dh * cand - dh * h_prev) * z) * (1.0 - z), ((d_rh * h_prev) * r) * (1.0 - r), d_cand]
+            d = dz[:, n - 1 - j] = (((dh * cand - dh * h_prev) * z) * (1.0 - z),
+                                    ((d_rh * h_prev) * r) * (1.0 - r), d_cand)
             if j:
-                terms = [d_rh * r, u[1] @ dz[1], dh * (1.0 - z), u[0] @ dz[0]]
-                row = grad[order[j - 1]]
+                terms = [d_rh * r, u[1] @ d[1], dh * (1.0 - z), u[0] @ d[0]]
                 # the backward direction's downstream row comes first, the forward one's last
-                terms = [row, *terms] if reverse else [*terms, row]
+                terms = [grad[order[j - 1]], *terms] if reverse else [*terms, grad[order[j - 1]]]
                 dh = terms[0] + terms[1]
                 for term in terms[2:]:
                     dh += term
         # Output row i pairs forward state i with backward state i, so the
         # walk enters the backward direction at its last-computed state and
         # reaches the update gate's input term of every step first.
-        _add_weight_grads(cell, x, order, [(s[0], s[0], s[3]) for s in saved], dzs, 0 if reverse else None)
+        h_back, rh_back = (np.array([s[i] for s in reversed(saved)]) for i in (0, 3))
+        _add_weight_grads(cell, x[order[::-1]], [h_back, h_back, rh_back], dz, 0 if reverse else None)
 
     return states, backward
 

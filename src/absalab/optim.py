@@ -106,15 +106,16 @@ def forward_backward(store: ParamStore, loss_fn) -> float:
 
     Parameters untouched by the computation keep an exact zero gradient.
     """
-    store.zero_grads()
+    if store._grads_populated:  # a backward may have written the slots since adam_step cleared them
+        store.zero_grads()
     loss = loss_fn()
     if not isinstance(loss, Tensor):
         raise TypeError(f"loss_fn must return a Tensor, got {type(loss).__name__}")
     value = loss.item()
     if not np.isfinite(value):
         raise FloatingPointError(f"non-finite loss {value}")
+    store._grads_populated = True  # before backward: one that raises part-way leaves slots to clear
     loss.backward()
-    store._grads_populated = True
     return value
 
 

@@ -219,13 +219,15 @@ def test_readme_command_lines_parse():
 
 
 def test_training_is_bit_identical_with_one_or_two_blas_threads(fixtures_dir, tmp_path):
-    # Per-step code calls only GEMVs and small GEMMs, whose bits do not depend on
-    # the BLAS thread count; a larger GEMM could, and would fail here.
+    # Training calls only GEMVs, stacked GEMVs and small GEMMs, whose bits do not
+    # depend on the BLAS thread count; a larger GEMM could, and would fail here.
+    # TC-LSTM sums a gate from the first step, multitask trains an LSTM's input.
     root = Path(__file__).resolve().parents[1]
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": str(root / "src")}
-        for command in (["train-alsa", "--architecture", "atae"], ["train-ae"]):
+        for command in (["train-alsa", "--architecture", "atae"], ["train-alsa", "--architecture", "tclstm"],
+                        ["train-alsa", "--task", "multitask"], ["train-ae"]):
             # no vector file: the fixture vocabulary gets seeded random 300-d rows
             proc = subprocess.run([sys.executable, "-m", "absalab", *command, "--data-dir", str(fixtures_dir),
                                    "--domain", "laptop", "--epochs", "2", "--checkpoint-dir", str(tmp_path / threads)],

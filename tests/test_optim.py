@@ -57,6 +57,24 @@ def test_forward_backward_rejects_non_tensor_and_non_finite():
         forward_backward(store, lambda: p * np.inf)
 
 
+def test_forward_backward_after_a_backward_that_raised_gives_exact_gradients():
+    store = ParamStore()
+    p = store.param("p", np.array([1.0, 2.0]))
+
+    def half_done():
+        def backward(grad):
+            ag._accumulate(p, np.array([5.0, 5.0]))  # writes the slot, then fails
+            raise RuntimeError("backward failed part-way")
+
+        return ag._node(np.array(1.0), (p,), backward)
+
+    with pytest.raises(RuntimeError, match="part-way"):
+        forward_backward(store, half_done)
+    for _ in range(2):  # the second time with no adam_step in between
+        forward_backward(store, lambda: (p * p).sum())
+        npt.assert_array_equal(store.gradient("p"), [2.0, 4.0])
+
+
 def test_first_adam_step_magnitude_is_lr():
     store = ParamStore()
     p = store.param("p", np.array(1.0))

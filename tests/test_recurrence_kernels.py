@@ -27,18 +27,18 @@ def bio(n, start, end):
     return ["O"] * start + ["B"] + ["I"] * (end - start) + ["O"] * (n - end - 1)
 
 
-def alsa_case(architecture, samples, mode=InputMode.plain(), d_in=D):
+def alsa_case(architecture, samples, mode=InputMode.plain(), d_in=D, hidden=ALSA_HIDDEN):
     def build(store):
-        return create_alsa_model(store, architecture, d_in, ALSA_HIDDEN, rng=np.random.default_rng(2))
+        return create_alsa_model(store, architecture, d_in, hidden, rng=np.random.default_rng(2))
 
     return build, [lambda model, s=s: alsa_loss(model, s, mode, EMBEDDINGS) for s in samples]
 
 
-def tagging_case(multitask, spans):
+def tagging_case(multitask, spans, hidden=AE_HIDDEN):
     def build(store):
         if multitask:
-            return MultitaskModel.create(store, EMBEDDINGS, AE_HIDDEN, ALSA_HIDDEN, rng=np.random.default_rng(3))
-        return AeModel.create(store, EMBEDDINGS, AE_HIDDEN, rng=np.random.default_rng(3))
+            return MultitaskModel.create(store, EMBEDDINGS, hidden, ALSA_HIDDEN, rng=np.random.default_rng(3))
+        return AeModel.create(store, EMBEDDINGS, hidden, rng=np.random.default_rng(3))
 
     losses = []
     for n, start, end in spans:
@@ -58,6 +58,9 @@ CASES = {
                               InputMode.noise(64, seed=4), D + 64),
     "ae": tagging_case(False, [(20, 6, 8), (1, 0, 0), (12, 3, 3)]),
     "multitask": tagging_case(True, [(20, 6, 8), (1, 0, 0), (12, 3, 3)]),
+    # hidden width 1: every recurrent-weight gradient is a 1 x 1 sum over the steps
+    "atae-hidden-1": alsa_case("atae", [sample(20, 6, 8), sample(1, 0, 0), sample(12, 3, 3)], hidden=1),
+    "ae-hidden-1": tagging_case(False, [(20, 6, 8), (1, 0, 0), (12, 3, 3)], hidden=1),
 }
 
 
