@@ -206,9 +206,8 @@ def tclstm_forward(model: TcLstmModel, word_matrix: Tensor, span: AspectSpan) ->
     target = aspect_mean(word_matrix[span.start : span.end + 1])
     left = append_to_rows(word_matrix[0 : span.start], target)
     right = append_to_rows(word_matrix[span.end + 1 : n], target)
-    # only the final states reach the loss; see run_lstm's `final_only`
-    _, left_final = run_lstm(left, model.lstm_left, "forward", final_only=True)
-    _, right_final = run_lstm(right, model.lstm_right, "backward", final_only=True)
+    _, left_final = run_lstm(left, model.lstm_left, "forward")
+    _, right_final = run_lstm(right, model.lstm_right, "backward")
     return classify(ag.concat([left_final, right_final]), model.head)
 
 

@@ -21,7 +21,7 @@ from . import ae as ae_mod
 from . import alsa as alsa_mod
 from . import crf as crf_mod
 from .alsa import AlsaSample, InputMode
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_archive, load_checkpoint, save_checkpoint
 from .data import Dataset, Vocabulary, build_dataset, collect_tokens, load_embeddings, read_semeval, split_sa_ma
 from .metrics import MetricsReport, macro_f1
 from .optim import AdamConfig, ParamStore, adam_step, forward_backward
@@ -330,8 +330,6 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
     if config.input_mode == "transfer" and st_source is None:
         if not config.st_cache_path:
             raise ConfigError("transfer mode requires st_cache_path")
-        from .checkpoint import load_archive
-
         st_source = load_archive(config.st_cache_path)
     adam = AdamConfig(lr=config.lr, l2_lambda=config.l2_lambda) if config.lr > 0 else None
     embeddings = vocab.matrix
@@ -499,8 +497,7 @@ def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndar
 # -- grid search --------------------------------------------------------------------------
 
 
-def grid_search(config: ExperimentConfig, grid: dict[str, list],
-                st_source: dict[str, np.ndarray] | None = None) -> list[dict]:
+def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Train one run per Cartesian grid point; rank by dev macro F1.
 
     Ties break toward lower l2_lambda, then lower lr. A failed point is
@@ -520,7 +517,7 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list],
             coerced = _coerce_fields(point)
             row["params"] = coerced
             run_config = replace(config, **coerced)
-            result = train(run_config, st_source=st_source)
+            result = train(run_config)
             row["dev_macro_f1"] = result.best_dev
             row["name"] = run_config.name
             row["best_checkpoint"] = str(result.best_checkpoint) if result.best_checkpoint else None

@@ -101,14 +101,15 @@ def embed(token_ids, embedding_matrix) -> Tensor:
     return Tensor(matrix[ids])
 
 
-# Each kernel below runs a whole sequence as one tape node and keeps the
-# float32 bits of a per-step tape (`tests/recurrence_oracle.py`): its numpy
-# calls forward, (x @ w[k] + h @ u[k]) + b[k] per gate, and its order of
-# backward terms. Batching keeps them: a matmul over stacked (1, d) @ (d, h)
-# or (d, h) @ (h, 1) blocks makes one GEMV per block, and einsum adds each
-# rounded product into `out` row by row. Not exact: a GEMM over the steps,
-# `X.T @ dZ`, or einsum into a 1 x 1 output (a dot kernel with several
-# accumulators) or given a reversed view and `out=` (another row order).
+# Each kernel below runs a whole sequence on the tape and keeps the float32
+# bits of a per-step tape (`tests/recurrence_oracle.py`): its numpy calls
+# forward, (x @ w[k] + h @ u[k]) + b[k] per gate, and its order of backward
+# terms. Batching keeps them: a matmul over stacked (1, d) @ (d, h) or
+# (d, h) @ (h, 1) blocks makes one GEMV per block, and einsum adds each
+# rounded product into `out` row by row. Not exact: one GEMV over the
+# concatenated gates, a GEMM over the steps, `X.T @ dZ`, or einsum into a
+# 1 x 1 output (a dot kernel with several accumulators) or given a reversed
+# view and `out=` (another row order).
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -135,7 +136,7 @@ def _add_weight_grads(cell: CellParams, inputs: np.ndarray, recurrent: list[np.n
         ag._accumulate(param, g)
 
 
-def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool, final_only: bool) -> Tensor:
+def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool) -> tuple[Tensor, Tensor]:
     x, w, u, b = inputs.data, cell.w.data, cell.u.data, cell.b.data
     n = x.shape[0]
     order = list(range(n - 1, -1, -1) if reverse else range(n))
@@ -144,15 +145,15 @@ def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool, final_only: bo
     saved = []  # per step: h and c before it, its gates i, f, o, g and tanh(c)
     h = c = np.zeros(cell.hidden_dim, dtype=x.dtype)
     for t in order:
-        z = [(xw[t, k] + h @ u[k]) + b[k] for k in range(4)]
-        i, f, o, g = ag.logistic(z[0]), ag.logistic(z[1]), ag.logistic(z[2]), np.tanh(z[3])
+        z = (xw[t] + np.matmul(h, u)) + b
+        (i, f, o), g = ag.logistic(z[:3]), np.tanh(z[3])
         c_next = f * c + i * g
         tanh_c = np.tanh(c_next)
         saved.append((h, c, i, f, o, g, tanh_c))
         h, c = o * tanh_c, c_next
         states[t] = h
 
-    def backward(grad):
+    def backward(grad, deferred):
         dz = np.empty((4, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
         dh, dc_next = grad[order[-1]], None
         for j in range(n - 1, -1, -1):
@@ -160,23 +161,30 @@ def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool, final_only: bo
             dc = (dh * o) * (1.0 - tanh_c * tanh_c)
             if dc_next is not None:
                 dc = dc_next + dc
-            d = dz[:, n - 1 - j] = (((dc * g) * i) * (1.0 - i), ((dc * c_prev) * f) * (1.0 - f),
-                                    ((dh * tanh_c) * o) * (1.0 - o), (dc * i) * (1.0 - g * g))
+            dz[:, n - 1 - j] = (((dc * g) * i) * (1.0 - i), ((dc * c_prev) * f) * (1.0 - f),
+                                ((dh * tanh_c) * o) * (1.0 - o), (dc * i) * (1.0 - g * g))
             dc_next = dc * f
             if j:  # the downstream row, then the recurrent terms in the gate order 3, 0, 1, 2
-                dh = grad[order[j - 1]] + u[3] @ d[3]
-                for k in range(3):
-                    dh += u[k] @ d[k]
+                terms = np.matmul(u, dz[:, n - 1 - j, :, None])[..., 0]
+                dh = (((grad[order[j - 1]] + terms[3]) + terms[0]) + terms[1]) + terms[2]
         if inputs.requires_grad:  # row r: w[k] @ dz[k, r] over the gates 3, 0, 1, 2, as for h above
             terms = np.matmul(w[:, None], dz[..., None])[..., 0]
             gx = ((terms[3] + terms[0]) + terms[1]) + terms[2]
             ag._accumulate(inputs, gx if reverse else gx[::-1])
-        # A walk that enters at the final state reaches the output gate's
-        # input term of every step before any other node.
         h_back = np.array([s[0] for s in reversed(saved)])
-        _add_weight_grads(cell, x[order[::-1]], [h_back] * 4, dz, 2 if final_only else None)
+        _add_weight_grads(cell, x[order[::-1]], [h_back] * 4, dz, deferred)
 
-    return ag._node(states, (inputs, cell.w, cell.u, cell.b), backward)
+    def final_backward(grad):
+        full = np.zeros_like(states)
+        full[order[-1]] += grad  # an add, as a row read does: -0.0 becomes +0.0
+        backward(full, 2)
+
+    # A walk that enters at the last-computed state (the final state, or row
+    # 0 of a backward LSTM's states) reaches the output gate's input term of
+    # every step before any other node.
+    parents = (inputs, cell.w, cell.u, cell.b)
+    return (ag._node(states, parents, lambda grad: backward(grad, 2 if reverse else None)),
+            ag._node(states[order[-1]], parents, final_backward))
 
 
 def _gru_direction(x: np.ndarray, cell: CellParams, reverse: bool):
@@ -190,8 +198,7 @@ def _gru_direction(x: np.ndarray, cell: CellParams, reverse: bool):
     saved = []  # per step: h before it, its update and reset gates, r * h, the candidate
     h = np.zeros(cell.hidden_dim, dtype=x.dtype)
     for t in order:
-        z = ag.logistic((xw[t, 0] + h @ u[0]) + b[0])
-        r = ag.logistic((xw[t, 1] + h @ u[1]) + b[1])
+        z, r = ag.logistic((xw[t, :2] + np.matmul(h, u[:2])) + b[:2])
         rh = r * h
         cand = np.tanh((xw[t, 2] + rh @ u[2]) + b[2])
         saved.append((h, z, r, rh, cand))
@@ -251,16 +258,16 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
                     (fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), backward)
 
 
-def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward",
-             final_only: bool = False) -> tuple[Tensor, Tensor]:
+def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
     """LSTM over `inputs` rows; returns (all_states, final_state).
 
     `direction="backward"` consumes rows right to left; all_states rows stay
     aligned with input positions. Empty input yields a 0 x hidden state
-    matrix and a zero final state. Pass `final_only=True` when the loss
-    reads only the final state: the gradient is the same, but one of its
-    sums then runs in the order that keeps its float32 bits equal to a
-    per-step tape's.
+    matrix and a zero final state. The two outputs are separate tape nodes
+    over one forward run, and the output the loss reads sets the float32
+    summation order of the gradient, so that it equals a per-step tape's.
+    A loss that reads both runs the backward twice: still the gradient,
+    summed in another order (no model reads both).
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
@@ -270,9 +277,7 @@ def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward",
         return Tensor(np.zeros((0, cell.hidden_dim), dtype=dtype)), Tensor(np.zeros(cell.hidden_dim, dtype=dtype))
     if inputs.data.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
-    reverse = direction == "backward"
-    states = _lstm_kernel(inputs, cell, reverse, final_only)
-    return states, states[0 if reverse else n - 1]
+    return _lstm_kernel(inputs, cell, direction == "backward")
 
 
 def additive_attention(keys: Tensor, query: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:

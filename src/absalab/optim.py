@@ -54,11 +54,11 @@ class ParamStore:
     step: int = 0
     _grads_populated: bool = False
 
-    def param(self, name: str, values, dtype=None) -> Tensor:
+    def param(self, name: str, values) -> Tensor:
         """Register a new trainable tensor and return its leaf node."""
         if name in self._entries:
             raise ValueError(f"duplicate parameter name {name!r}")
-        arr = np.array(values, dtype=dtype)
+        arr = np.array(values)
         t = Tensor(arr, requires_grad=True)
         t.grad = np.zeros_like(arr)
         self._entries[name] = _Entry(t, np.zeros_like(arr), np.zeros_like(arr))
@@ -153,7 +153,6 @@ def grad_check(
     epsilon: float = 1e-4,
     max_coords_per_param: int = 6,
     seed: int = 0,
-    names: list[str] | None = None,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -168,7 +167,7 @@ def grad_check(
     analytic = {name: store.gradient(name).copy() for name in store.names()}
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name in names if names is not None else store.names():
+    for name in store.names():
         data = store.value(name)
         flat = data.reshape(-1)
         n = flat.shape[0]

@@ -43,13 +43,11 @@ def synthetic_tagging_corpus(num_sentences: int = 10, seed: int = 3) -> list[tup
     return corpus
 
 
-def synthetic_alsa_samples(num_samples: int = 20, seed: int = 5,
-                           vocab: Vocabulary | None = None,
-                           domain: str = "synthetic") -> tuple[list[AlsaSample], Vocabulary]:
+def synthetic_alsa_samples(num_samples: int = 20, seed: int = 5) -> tuple[list[AlsaSample], Vocabulary]:
     """Samples shaped 'the <aspect> is <marker> ...' with label-determining
     markers; roughly balanced across the three polarities."""
     rng = np.random.default_rng(seed)
-    vocab = vocab if vocab is not None else synthetic_vocabulary()
+    vocab = synthetic_vocabulary()
     polarities = list(POLARITY_TO_LABEL)
     samples = []
     for i in range(num_samples):
@@ -63,8 +61,8 @@ def synthetic_alsa_samples(num_samples: int = 20, seed: int = 5,
                 token_ids=vocab.ids(tokens),
                 span=AspectSpan(1, 1),
                 label=POLARITY_TO_LABEL[polarity],
-                sentence_id=f"{domain}-{i}",
-                domain=domain,
+                sentence_id=f"synthetic-{i}",
+                domain="synthetic",
                 tokens=tuple(tokens),
             )
         )

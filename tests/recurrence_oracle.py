@@ -74,15 +74,12 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     return ag.stack_rows([ag.concat([f, b]) for f, b in zip(forward_states, backward_states)])
 
 
-def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward",
-             final_only: bool = False) -> tuple[Tensor, Tensor]:
+def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
     """LSTM over `inputs` rows; returns (all_states, final_state).
 
     `direction="backward"` consumes rows right to left; all_states rows stay
     aligned with input positions. Empty input yields a 0 x hidden state
-    matrix and a zero final state. `final_only` is accepted and ignored:
-    it only picks the kernel's summation order, which the tape needs no
-    hint for.
+    matrix and a zero final state.
     """
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")

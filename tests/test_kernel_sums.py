@@ -87,10 +87,10 @@ def weighted_sum(states):
     return (states * Tensor(spread(np.random.default_rng(7), *states.shape))).sum()
 
 
-def lstm_outputs(run_lstm, x, h, direction, final_only):
+def lstm_outputs(run_lstm, x, h, direction, read_final):
     inputs, cell = Tensor(x, requires_grad=True), make_cell(1, x.shape[1], h, 4)
-    states, final = run_lstm(inputs, cell, direction, final_only)
-    read = final if final_only else states
+    states, final = run_lstm(inputs, cell, direction)
+    read = final if read_final else states
     weighted_sum(read).backward()
     return {"states": read.data, "w": cell.w.grad, "u": cell.u.grad, "b": cell.b.grad, "inputs": inputs.grad}
 
@@ -107,14 +107,16 @@ def bigru_outputs(run_bigru, x, h):
 KERNEL_SHAPES = [(n, d, h) for n in (1, 2, 8, 20) for d, h in WIDTHS] + [(130, 600, 128)]
 
 
-# The reads the models make: every row of a forward LSTM (ATAE, IAN, the
-# multitask head) and the final state of either direction (TC-LSTM).
+# Every row or the final state, in either direction: the models read every
+# row of a forward LSTM (ATAE, IAN, the multitask head) and the final state
+# of either direction (TC-LSTM).
 @pytest.mark.parametrize("n, d, h", KERNEL_SHAPES)
-@pytest.mark.parametrize("direction, final_only", [("forward", False), ("forward", True), ("backward", True)])
-def test_lstm_kernel_matches_the_per_step_tape(n, d, h, direction, final_only):
+@pytest.mark.parametrize("direction, read_final", [("forward", False), ("forward", True), ("backward", True),
+                                                   ("backward", False)])
+def test_lstm_kernel_matches_the_per_step_tape(n, d, h, direction, read_final):
     x = spread(np.random.default_rng(n + d), n, d)
-    got = lstm_outputs(layers.run_lstm, x, h, direction, final_only)
-    want = lstm_outputs(recurrence_oracle.run_lstm, x, h, direction, final_only)
+    got = lstm_outputs(layers.run_lstm, x, h, direction, read_final)
+    want = lstm_outputs(recurrence_oracle.run_lstm, x, h, direction, read_final)
     for name in want:
         assert np.array_equal(got[name], want[name]), name
 

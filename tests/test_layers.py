@@ -175,8 +175,10 @@ def test_cell_gate_blocks_are_the_per_gate_draws(gate_biases):
         assert cell.w.data[k].flags.c_contiguous and cell.u.data[k].flags.c_contiguous
 
 
-def test_every_cell_coordinate_passes_grad_check(rng):
-    # all coordinates of w, u and b, so every gate's block is checked
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_every_cell_coordinate_passes_grad_check(rng, direction):
+    # all coordinates of w, u and b, so every gate's block is checked; the
+    # loss reads both LSTM outputs, so both of their backwards add up
     store = ParamStore()
     gru = make_gru(store, "g", 2, 3, seed=1)
     lstm = make_lstm(store, "l", 2, 3, seed=2)
@@ -185,7 +187,7 @@ def test_every_cell_coordinate_passes_grad_check(rng):
     lstm_proj = Tensor(rng.normal(size=(3, 3)))
 
     def loss():
-        states, final = run_lstm(x, lstm)
+        states, final = run_lstm(x, lstm, direction)
         return (run_bigru(x, gru, gru) @ gru_proj).sum() + (states @ lstm_proj).sum() + (final * final).sum()
 
     assert grad_check(store, loss, max_coords_per_param=max(store.value(n).size for n in store.names())) < 1e-6
