@@ -25,6 +25,8 @@ UNK_INIT_RANGE = 0.25
 UNK_SEED = 13
 RANDOM_INIT_RANGE = 0.5  # rows of Vocabulary.random
 _PUNCTUATION = set(string.punctuation)
+VECTOR_BATCH = 256  # wanted vector lines parsed per np.loadtxt call
+_READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"  # whitespace around a field to numpy's reader, not to float()
 
 POLARITIES = ("positive", "negative", "neutral", "conflict")
 
@@ -198,6 +200,42 @@ class Vocabulary:
         return cls(mapping, matrix, unk_id=len(uniq))
 
 
+def _parse_vectors(path, queue: list[tuple[int, str, str]], found: dict[str, np.ndarray | None]) -> None:
+    """Parse the queued (line number, token, components) lines into `found`
+    and empty the queue.
+
+    numpy's C reader converts an ASCII field with the parser `float()` uses,
+    and `astype(np.float32)` is the cast `np.asarray(..., dtype=np.float32)`
+    applies, so the bits match. A batch the reader refuses (a bad component,
+    or forms only `float()` reads, such as `1_0` or non-ASCII digits), one
+    with an empty row (which the reader would skip) and one with a character
+    the reader strips as whitespace and `float()` does not are parsed line
+    by line, so values and the first bad line stay `float()`'s.
+    """
+    if not queue:
+        return
+    texts = [components for _, _, components in queue]
+    rows = None
+    if all(texts) and not any(ch in text for text in texts for ch in _READER_ONLY_SPACE):
+        try:
+            rows = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, quotechar=None,
+                              ndmin=2).astype(np.float32)
+        except ValueError:
+            pass
+    if rows is None:
+        rows = [_parse_vector(path, lineno, components) for lineno, _, components in queue]
+    for (_, token, _), row in zip(queue, rows):
+        found[token] = row
+    queue.clear()
+
+
+def _parse_vector(path, lineno: int, components: str) -> np.ndarray:
+    try:
+        return np.asarray([float(x) for x in components.split(" ")], dtype=np.float32)
+    except ValueError:
+        raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
+
+
 def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | None = GLOVE_DIM) -> Vocabulary:
     """Load whitespace-separated embedding vectors for the requested tokens.
 
@@ -205,27 +243,37 @@ def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | 
     uniformly from [-0.25, 0.25] with a fixed seed. The vector width must
     equal `expected_dim` (300 for the pretrained vectors used here) on
     every line; with `expected_dim=None` the first line sets it. Components
-    are parsed only on the first line of each wanted token.
+    are parsed only on the first line of each wanted token, in batches
+    that keep `float()`'s values and report the first bad line in the file.
     """
+    if expected_dim is not None and expected_dim < 1:
+        raise ValueError(f"expected_dim must be at least 1, got {expected_dim}")
     wanted = {t.lower() for t in vocabulary_tokens}
-    found: dict[str, np.ndarray] = {}
+    found: dict[str, np.ndarray | None] = {}  # None: queued, not yet parsed
+    queue: list[tuple[int, str, str]] = []  # wanted lines not yet parsed
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            width = line.count(" ")
-            if expected_dim is None:
-                if width < 1:
-                    raise IngestError(f"{path}: line {lineno}: vector has no values")
-                expected_dim = width
-            if width != expected_dim:
-                raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
-            token = line.partition(" ")[0]
-            if token not in wanted or token in found:
-                continue
-            try:
-                found[token] = np.asarray([float(x) for x in line.split(" ")[1:]], dtype=np.float32)
-            except ValueError:
-                raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                width = line.count(" ")  # the newline is not a space
+                if expected_dim is None:
+                    if width < 1:
+                        raise IngestError(f"{path}: line {lineno}: vector has no values")
+                    expected_dim = width
+                if width != expected_dim:
+                    _parse_vectors(path, queue, found)  # its lines come first in the file
+                    raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
+                cut = line.find(" ")
+                token = line[:cut]
+                if token not in wanted or token in found:
+                    continue
+                found[token] = None
+                queue.append((lineno, token, line[cut + 1:].rstrip("\n")))
+                if len(queue) == VECTOR_BATCH:
+                    _parse_vectors(path, queue, found)
+        except UnicodeDecodeError:
+            _parse_vectors(path, queue, found)  # a bad line read before the undecodable bytes wins
+            raise
+    _parse_vectors(path, queue, found)
     if expected_dim is None:
         raise IngestError(f"{path}: no vectors to take the width from")
     ordered = sorted(found)

@@ -500,8 +500,11 @@ def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndar
 def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Train one run per Cartesian grid point; rank by dev macro F1.
 
-    Ties break toward lower l2_lambda, then lower lr. A failed point is
-    recorded with its error message instead of aborting the sweep.
+    Each point runs under the base run name plus its settings, e.g.
+    `atae_laptop_l2_lambda=0.001_lr=0.01`, so no point overwrites another's
+    checkpoints or log. Ties break toward lower l2_lambda, then lower lr.
+    A failed point is recorded with its error message instead of aborting
+    the sweep.
     """
     if not grid:
         raise ConfigError("grid must name at least one hyper-parameter")
@@ -516,7 +519,9 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         try:
             coerced = _coerce_fields(point)
             row["params"] = coerced
-            run_config = replace(config, **coerced)
+            base = replace(config, **coerced)
+            settings = [f"{key}={value}" for key, value in sorted(coerced.items())]
+            run_config = replace(base, run_name="_".join([base.name, *settings]))
             result = train(run_config)
             row["dev_macro_f1"] = result.best_dev
             row["name"] = run_config.name

@@ -4,9 +4,14 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absalab.ae import AspectSpan, decode_spans
 from absalab.data import (
+    UNK_INIT_RANGE,
+    UNK_SEED,
+    VECTOR_BATCH,
     IngestError,
     RawAspect,
     Token,
@@ -265,6 +270,174 @@ def test_load_embeddings_without_a_width_takes_the_first_lines(fixtures_dir, tmp
         vectors.write_text(text, encoding="utf-8")
         with pytest.raises(IngestError, match=message):
             load_embeddings(vectors, ["the"], expected_dim=None)
+
+
+def _reference_load_embeddings(path, vocabulary_tokens, expected_dim):
+    """The per-line loader the batched one replaced: `float()` on every
+    component of a wanted line, errors raised as the line is read."""
+    wanted = {t.lower() for t in vocabulary_tokens}
+    found = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            width = line.count(" ")
+            if expected_dim is None:
+                if width < 1:
+                    raise IngestError(f"{path}: line {lineno}: vector has no values")
+                expected_dim = width
+            if width != expected_dim:
+                raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
+            token = line.partition(" ")[0]
+            if token not in wanted or token in found:
+                continue
+            try:
+                found[token] = np.asarray([float(x) for x in line.split(" ")[1:]], dtype=np.float32)
+            except ValueError:
+                raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
+    if expected_dim is None:
+        raise IngestError(f"{path}: no vectors to take the width from")
+    ordered = sorted(found)
+    matrix = np.zeros((len(ordered) + 1, expected_dim), dtype=np.float32)
+    mapping = {token: i for i, token in enumerate(ordered)}
+    for token, i in mapping.items():
+        matrix[i] = found[token]
+    unk_id = len(ordered)
+    matrix[unk_id] = np.random.default_rng(UNK_SEED).uniform(-UNK_INIT_RANGE, UNK_INIT_RANGE,
+                                                             size=expected_dim).astype(np.float32)
+    for token in sorted(wanted - set(ordered)):
+        mapping[token] = unk_id
+    return Vocabulary(mapping, matrix, unk_id)
+
+
+def _assert_same_as_reference(path, tokens, expected_dim):
+    """Require both loaders to give the same vocabulary, as (mapping, matrix
+    bytes, unk_id), or the same error, as (type, message); return it."""
+    outcomes = []
+    for loader in (load_embeddings, _reference_load_embeddings):
+        try:
+            vocab = loader(path, tokens, expected_dim)
+        except ValueError as err:  # IngestError and UnicodeDecodeError among them
+            outcomes.append((type(err), str(err)))
+        else:
+            outcomes.append((vocab.token_to_id, vocab.matrix.tobytes(), vocab.unk_id))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+_SPECIAL_COMPONENTS = ("-0.0", "nan", "inf", "-inf", "1e400", "1e-50", "-1e-50", "3.4028236e38")
+
+
+@st.composite
+def _vector_files(draw):
+    """(text, wanted tokens, width): random doubles written as repr, %.3f
+    and %.7g plus special values, over enough lines to span batches."""
+    width = draw(st.integers(1, 4))
+    n_lines = draw(st.integers(1, VECTOR_BATCH + 80))
+    doubles = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    component = st.one_of(doubles.map(repr), doubles.map(lambda x: "%.3f" % x),
+                          doubles.map(lambda x: "%.7g" % x), st.sampled_from(_SPECIAL_COMPONENTS))
+    tokens = draw(st.lists(st.sampled_from([f"w{i}" for i in range(n_lines + 5)]), min_size=n_lines, max_size=n_lines))
+    lines = [" ".join([token] + draw(st.lists(component, min_size=width, max_size=width))) for token in tokens]
+    wanted = draw(st.lists(st.sampled_from(sorted(set(tokens)) + ["absent"]), max_size=len(tokens) + 1))
+    return "\n".join(lines) + "\n", wanted, width
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")  # 1e400 and 3.4028236e38, in both
+@settings(max_examples=40, deadline=None)
+@given(case=_vector_files())
+def test_load_embeddings_matches_the_per_line_reference(tmp_path_factory, case):
+    text, wanted, width = case
+    vectors = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+    vectors.write_text(text, encoding="utf-8")
+    for expected_dim in (width, None):
+        outcome = _assert_same_as_reference(vectors, wanted, expected_dim)
+        assert len(outcome) == 3  # loaded, not an error
+
+
+def _filler_lines(n, width=2):
+    return [f"f{i} " + " ".join(["0.5"] * width) for i in range(n)]
+
+
+def test_load_embeddings_reads_forms_only_float_accepts(tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    lines = ["the 1_0 0.25", "arabic \u0661\u0662 -\u0663.\u0665", "plain 0.1 0.2", "spaced \u20030.5 1.5\u00a0"]
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tokens = ["the", "arabic", "plain", "spaced"]
+    _assert_same_as_reference(vectors, tokens, 2)
+    vocab = load_embeddings(vectors, tokens, expected_dim=2)
+    npt.assert_array_equal(vocab.matrix[vocab.id_of("the")], np.float32([10.0, 0.25]))
+    npt.assert_array_equal(vocab.matrix[vocab.id_of("arabic")], np.float32([12.0, -3.5]))
+    npt.assert_array_equal(vocab.matrix[vocab.id_of("spaced")], np.float32([0.5, 1.5]))
+
+
+@pytest.mark.parametrize("separator", ["\x1c", "\x1d", "\x1e", "\x1f"])
+def test_load_embeddings_refuses_what_float_refuses(tmp_path, separator):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"the 0.1 0.2\nbad 0.5{separator} 0.25\n", encoding="utf-8")
+    assert _assert_same_as_reference(vectors, ["the", "bad"], 2) == (
+        IngestError, f"{vectors}: line 2: non-numeric vector component")
+
+
+@pytest.mark.parametrize("wanted_before", [0, VECTOR_BATCH + 9])
+@pytest.mark.parametrize("non_numeric_first", [True, False])
+def test_load_embeddings_reports_the_first_fault_in_the_file(tmp_path, wanted_before, non_numeric_first):
+    lines = _filler_lines(wanted_before)
+    faults = ["bad 0.1 oops", "short 0.1"]
+    lines += faults if non_numeric_first else faults[::-1]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tokens = [f"f{i}" for i in range(wanted_before)] + ["bad", "short"]
+    first_line = wanted_before + 1
+    expected = (f"{vectors}: line {first_line}: non-numeric vector component" if non_numeric_first
+                else f"{vectors}: line {first_line}: vector has 1 values, expected 2")
+    assert _assert_same_as_reference(vectors, tokens, 2) == (IngestError, expected)
+
+
+def test_load_embeddings_keeps_the_first_line_of_a_token_across_batches(tmp_path):
+    lines = ["the 0.1 0.2"] + _filler_lines(VECTOR_BATCH + 3) + ["the 0.7 0.8", "the 0.9 nope"]
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tokens = ["the"] + [f"f{i}" for i in range(VECTOR_BATCH + 3)]
+    vocab = load_embeddings(vectors, tokens, expected_dim=2)
+    npt.assert_array_equal(vocab.matrix[vocab.id_of("the")], np.float32([0.1, 0.2]))
+    _assert_same_as_reference(vectors, tokens, 2)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "no final newline"])
+def test_load_embeddings_reads_every_line_ending_alike(tmp_path, newline):
+    lines = ["the 0.1 0.2", "other 0.3 0.4", "battery -1e-3 5"]
+    lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+    lf.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = "\n".join(lines) if newline == "no final newline" else newline.join(lines) + newline
+    other.write_bytes(text.encode("utf-8"))
+    tokens = ["the", "battery", "zzz"]
+    a, b = load_embeddings(lf, tokens, expected_dim=2), load_embeddings(other, tokens, expected_dim=2)
+    assert a.token_to_id == b.token_to_id and a.unk_id == b.unk_id
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    _assert_same_as_reference(other, tokens, 2)
+
+
+def test_load_embeddings_reports_a_bad_line_before_undecodable_bytes(tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    head = "\n".join(["the 0.1 0.2", "bad 0.1 oops"] + _filler_lines(2000)) + "\n"
+    vectors.write_bytes(head.encode("utf-8") + b"\xff 0.1 0.2\n")  # far past the first decoded chunk
+    assert _assert_same_as_reference(vectors, ["the", "bad"], 2) == (
+        IngestError, f"{vectors}: line 2: non-numeric vector component")
+    vectors.write_bytes(b"the 0.1 0.2\n\xff 0.1 0.2\n")
+    assert _assert_same_as_reference(vectors, ["the"], 2)[0] is UnicodeDecodeError
+
+
+def test_load_embeddings_reports_an_empty_one_wide_vector(tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("a 1\nthe \nb 2\n", encoding="utf-8")  # numpy's reader would skip the empty row
+    for tokens in (["a", "the", "b"], ["the"]):
+        assert _assert_same_as_reference(vectors, tokens, 1) == (
+            IngestError, f"{vectors}: line 2: non-numeric vector component")
+
+
+def test_load_embeddings_rejects_a_width_below_one(fixtures_dir):
+    with pytest.raises(ValueError, match="expected_dim must be at least 1, got 0"):
+        load_embeddings(fixtures_dir / "mini_vectors.txt", ["the"], expected_dim=0)
 
 
 def test_vocabulary_ids_are_dense():

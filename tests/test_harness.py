@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -348,6 +349,21 @@ def test_grid_single_point_equals_single_train(fixtures_dir, tmp_path):
     assert len(rows) == 1
     single = train(dataclasses.replace(config, lr=0.01))
     assert rows[0]["dev_macro_f1"] == pytest.approx(single.best_dev)
+
+
+def test_grid_points_keep_their_own_checkpoints(fixtures_dir, tmp_path):
+    config = tiny_config(fixtures_dir, tmp_path / "grid", dev_fraction=0.2, epochs=1)
+    rows = grid_search(config, {"lr": [0.01, 0.02]})
+    by_lr = {row["params"]["lr"]: row for row in rows}
+    assert by_lr[0.01]["name"] == "atae_laptop_lr=0.01" and by_lr[0.02]["name"] == "atae_laptop_lr=0.02"
+    assert len({row["best_checkpoint"] for row in rows}) == 2
+    for lr, row in by_lr.items():
+        single = train(dataclasses.replace(config, lr=lr, checkpoint_dir=str(tmp_path / f"single-{lr}")))
+        grid_values, single_values = load_archive(row["best_checkpoint"]), load_archive(single.best_checkpoint)
+        assert grid_values.keys() == single_values.keys()
+        assert all(grid_values[k].tobytes() == single_values[k].tobytes() for k in grid_values)
+        grid_log = Path(row["best_checkpoint"]).with_name(f"{row['name']}.log.jsonl")
+        assert grid_log.read_bytes() == single.log_path.read_bytes()
 
 
 def test_grid_cartesian_size_and_ranking(fixtures_dir, tmp_path):

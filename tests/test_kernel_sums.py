@@ -104,7 +104,10 @@ def bigru_outputs(run_bigru, x, h):
     return {"states": states.data, **grads}
 
 
-KERNEL_SHAPES = [(n, d, h) for n in (1, 2, 8, 20) for d, h in WIDTHS] + [(130, 600, 128)]
+# At hidden width 200 one GEMV over the four gates side by side gives other
+# float32 bits than one GEMV per gate; at the widths above it does not.
+KERNEL_SHAPES = ([(n, d, h) for n in (1, 2, 8, 20) for d, h in WIDTHS]
+                 + [(130, 600, 128), (8, 7, 200), (20, 600, 200)])
 
 
 # Every row or the final state, in either direction: the models read every
