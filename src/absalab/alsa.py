@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from . import crf as crf_mod
 from .ae import AeModel, AspectSpan, ae_forward
-from .autograd import Tensor, sample_standard_normal
+from .autograd import Tensor
 from .layers import (
     LSTM,
     AttentionParams,
@@ -107,12 +107,8 @@ def build_input(sample: AlsaSample, mode: InputMode, embeddings: np.ndarray) -> 
                     f"transfer rows for sentence {sample.sentence_id!r} have shape {extra.shape}, "
                     f"expected {(n, mode.extra_dim)}"
                 )
-        elif mode.extra_dim == 0:
-            extra = np.zeros((n, 0), dtype=word_rows.dtype)
         else:
-            extra = sample_standard_normal(
-                n, mode.extra_dim, _noise_seed(mode.seed, sample.sentence_id), dtype=word_rows.dtype
-            ).data
+            extra = np.random.default_rng(_noise_seed(mode.seed, sample.sentence_id)).standard_normal((n, mode.extra_dim))
         full = np.concatenate([word_rows, extra.astype(word_rows.dtype, copy=False)], axis=1)
     else:
         raise ValueError(f"unknown input mode {mode.variant!r}")

@@ -7,11 +7,12 @@ topological order and accumulates ``d loss / d leaf`` into every leaf that
 was created with ``requires_grad=True``.
 
 The op set is exactly what the sequence models in this package need:
-broadcast arithmetic, matrix products, gated-cell nonlinearities,
-row-wise reductions, log-sum-exp, softmax heads, concatenation and
-indexing. Everything runs in whatever dtype the operands carry, so the
-same graph code serves single-precision training and double-precision
-gradient checking.
+broadcast arithmetic, matrix products, ``tanh``, row-wise reductions,
+log-sum-exp, softmax heads, concatenation and indexing. The gates' sigmoid
+is the array function ``logistic``: the sequence kernels in
+``absalab.layers`` run a whole sequence as one node. Everything runs in
+whatever dtype the operands carry, so the same graph code serves
+single-precision training and double-precision gradient checking.
 """
 
 from __future__ import annotations
@@ -116,14 +117,6 @@ class Tensor:
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     """Create a leaf tensor; the data array is copied."""
     return Tensor(np.array(data, dtype=dtype), requires_grad=requires_grad)
-
-
-def sample_standard_normal(rows: int, cols: int, seed: int, dtype=np.float32) -> Tensor:
-    """Seed-reproducible matrix of i.i.d. standard-normal entries."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"sample_standard_normal needs rows, cols >= 1, got {rows}x{cols}")
-    rng = np.random.default_rng(seed)
-    return Tensor(rng.standard_normal((rows, cols)).astype(dtype))
 
 
 def _wrap(x, dtype=None) -> Tensor:
@@ -257,20 +250,11 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """The sigmoid of an array, in its dtype; `sigmoid` and the sequence kernels share it."""
+    """The sigmoid of an array, in its dtype, as the sequence kernels' gates use it."""
     # Stable in both tails: exp of a non-positive argument only.
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(x.dtype, copy=False)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    t = _wrap(t)
-    data = logistic(t.data)
-
-    def backward(g):
-        _accumulate(t, g * data * (1.0 - data))
-
-    return _node(data, (t,), backward)
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
 
 
 # -- reductions ----------------------------------------------------------------

@@ -77,7 +77,12 @@ def load_archive(path) -> dict[str, np.ndarray]:
         (name_len,) = unpack("<H")
         if offset + name_len > len(blob):
             raise ValueError(f"{path}: truncated archive at byte {offset}")
-        name = bytes(view[offset : offset + name_len]).decode("utf-8")
+        try:
+            name = bytes(view[offset : offset + name_len]).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}: entry name is not UTF-8 at byte {offset + err.start}") from None
+        if name in entries:
+            raise ValueError(f"{path}: duplicate entry {name!r}")
         offset += name_len
         (rank,) = unpack("<B")
         shape = tuple(unpack(f"<{rank}I")) if rank else ()

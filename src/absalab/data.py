@@ -140,19 +140,12 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-def _overlapping_token_range(tokens: Sequence[Token], char_from: int, char_to: int) -> tuple[int, int] | None:
-    hits = [i for i, t in enumerate(tokens) if t.char_start < char_to and char_from < t.char_end]
-    if not hits:
-        return None
-    return hits[0], hits[-1]
-
-
 def aspect_token_span(tokens: Sequence[Token], aspect: RawAspect) -> AspectSpan:
     """Token span of one aspect by character overlap."""
-    hit = _overlapping_token_range(tokens, aspect.char_from, aspect.char_to)
-    if hit is None:
+    hits = [i for i, t in enumerate(tokens) if t.char_start < aspect.char_to and aspect.char_from < t.char_end]
+    if not hits:
         raise IngestError(f"aspect {aspect.term!r} [{aspect.char_from}, {aspect.char_to}) matches no token")
-    return AspectSpan(hit[0], hit[1])
+    return AspectSpan(hits[0], hits[-1])
 
 
 def align_bio(tokens: Sequence[Token], aspects: Sequence[RawAspect]) -> list[str]:
@@ -416,8 +409,11 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
             try:
                 record = json.loads(line)
                 tokens = tuple(Token(t[0], t[1], t[2]) for t in record["tokens"])
-                dataset.domain = record["domain"]
-                sentence = SentenceData(record["sentence_id"], record["text"], record["domain"], tokens, record["bio"])
+                dataset.domain, bio = record["domain"], record["bio"]
+                if bio is not None and (type(bio) is not list or len(bio) != len(tokens)
+                                        or any(label not in ("B", "I", "O") for label in bio)):
+                    raise ValueError(f"bio must be null or one B/I/O label for each of the {len(tokens)} tokens")
+                sentence = SentenceData(record["sentence_id"], record["text"], record["domain"], tokens, bio)
                 labelled = [(AspectSpan(s["start"], s["end"]), s["label"]) for s in record["samples"]]
                 _add_sentence(dataset, vocab, sentence, labelled)
             except KeyError as err:

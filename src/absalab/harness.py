@@ -340,14 +340,9 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
         items = [(vocab.ids(t.text for t in s.tokens), s.bio) for s in train_set.sentences if s.bio and s.tokens]
         if not items:
             raise ConfigError("no sentences with tagging gold in the training data")
-        if config.dev_fraction > 0 and len(items) > 1:
-            split_at = max(1, int(len(items) * (1 - config.dev_fraction)))
-        else:
-            split_at = len(items)
-        # unlike _split_pairs, this permutes the training order even without a dev slice
-        order = np.random.default_rng(config.seed + 1).permutation(len(items))
-        train_items = [items[i] for i in order[:split_at]]
-        dev_items = [items[i] for i in order[split_at:]]
+        train_items, dev_items = _split_pairs(items, config.dev_fraction, config.seed + 1)
+        if not dev_items:  # tagging permutes its training order even without a dev slice
+            train_items = [items[i] for i in np.random.default_rng(config.seed + 1).permutation(len(items))]
 
         def loss_fn(item):
             return ae_mod.ae_loss(model, *item)

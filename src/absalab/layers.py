@@ -214,13 +214,10 @@ def _gru_direction(x: np.ndarray, cell: CellParams, reverse: bool):
             d_rh = u[2] @ d_cand
             d = dz[:, n - 1 - j] = (((dh * cand - dh * h_prev) * z) * (1.0 - z),
                                     ((d_rh * h_prev) * r) * (1.0 - r), d_cand)
-            if j:
-                terms = [d_rh * r, u[1] @ d[1], dh * (1.0 - z), u[0] @ d[0]]
-                # the backward direction's downstream row comes first, the forward one's last
-                terms = [grad[order[j - 1]], *terms] if reverse else [*terms, grad[order[j - 1]]]
-                dh = terms[0] + terms[1]
-                for term in terms[2:]:
-                    dh += term
+            if j:  # the backward direction's downstream row comes first, the forward one's last
+                dh_next = grad[order[j - 1]] + d_rh * r if reverse else d_rh * r
+                dh_next = ((dh_next + u[1] @ d[1]) + dh * (1.0 - z)) + u[0] @ d[0]
+                dh = dh_next if reverse else dh_next + grad[order[j - 1]]
         # Output row i pairs forward state i with backward state i, so the
         # walk enters the backward direction at its last-computed state and
         # reaches the update gate's input term of every step first.

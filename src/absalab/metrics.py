@@ -86,14 +86,3 @@ def format_report(report: MetricsReport, title: str = "evaluation") -> str:
         row = " ".join(f"{int(report.confusion[g, p]):>9d}" for p in range(NUM_CLASSES))
         lines.append(f"  {LABEL_NAMES[g][:6]:>6s} {row}")
     return "\n".join(lines)
-
-
-def majority_macro_f1(majority_test_count: int, test_size: int) -> float:
-    """Closed-form macro F1 (percent) of a constant majority-class predictor.
-
-    The predicted class scores F1 = 2c / (N + c) where c is its test count
-    and N the test size; the other two classes contribute zero.
-    """
-    if test_size <= 0:
-        raise ValueError("test_size must be positive")
-    return 100.0 * (2.0 * majority_test_count / (test_size + majority_test_count)) / NUM_CLASSES

@@ -9,9 +9,12 @@ import numpy as np
 from .autograd import Tensor
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor (Kingma & Ba 2015)
+
+
 @dataclass
 class AdamConfig:
-    """Adam hyper-parameters plus an optional decoupled L2 weight.
+    """Adam's step size plus an optional decoupled L2 weight.
 
     L2 regularization is applied as gradient augmentation (``lambda * theta``
     added to the gradient before the moment updates), so reported losses stay
@@ -19,18 +22,11 @@ class AdamConfig:
     """
 
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     l2_lambda: float = 0.0
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if not 0 < self.beta1 < 1 or not 0 < self.beta2 < 1:
-            raise ValueError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.l2_lambda < 0:
             raise ValueError(f"l2_lambda must be non-negative, got {self.l2_lambda}")
 
@@ -125,8 +121,8 @@ def adam_step(store: ParamStore, cfg: AdamConfig) -> None:
         raise RuntimeError("adam_step before any forward_backward: gradients never populated")
     store.step += 1
     t = store.step
-    bc1 = 1.0 - cfg.beta1**t
-    bc2 = 1.0 - cfg.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     # In place, with the expressions and operation order of the textbook
     # update, so float32 results stay bit-identical; the gradient slot is
     # cleared below and doubles as work space.
@@ -136,12 +132,12 @@ def adam_step(store: ParamStore, cfg: AdamConfig) -> None:
         scratch = np.empty_like(theta)
         if cfg.l2_lambda > 0:
             g += np.multiply(cfg.l2_lambda, theta, out=scratch)
-        m *= cfg.beta1  # m = beta1 * m + (1 - beta1) * g
-        m += np.multiply(1.0 - cfg.beta1, g, out=scratch)
-        v *= cfg.beta2  # v = beta2 * v + (1 - beta2) * (g * g)
-        v += np.multiply(1.0 - cfg.beta2, np.multiply(g, g, out=scratch), out=scratch)
+        m *= BETA1  # m = beta1 * m + (1 - beta1) * g
+        m += np.multiply(1.0 - BETA1, g, out=scratch)
+        v *= BETA2  # v = beta2 * v + (1 - beta2) * (g * g)
+        v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=scratch), out=scratch)
         step = np.multiply(cfg.lr, np.divide(m, bc1, out=g), out=g)  # lr * m_hat
-        denom = np.add(np.sqrt(np.divide(v, bc2, out=scratch), out=scratch), cfg.eps, out=scratch)
+        denom = np.add(np.sqrt(np.divide(v, bc2, out=scratch), out=scratch), EPS, out=scratch)
         theta -= np.divide(step, denom, out=scratch)
     store.zero_grads()
     store._grads_populated = False

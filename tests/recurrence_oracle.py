@@ -17,6 +17,16 @@ from absalab.autograd import Tensor
 from absalab.layers import CellParams
 
 
+def sigmoid(t: Tensor) -> Tensor:
+    """The gates' sigmoid as a tape node, over the kernels' `ag.logistic`."""
+    data = ag.logistic(t.data)
+
+    def backward(g):
+        ag._accumulate(t, g * data * (1.0 - data))
+
+    return ag._node(data, (t,), backward)
+
+
 def _gate_blocks(cell: CellParams) -> list[tuple[Tensor, Tensor, Tensor]]:
     """(w, u, b) of each gate as tape nodes; taken once per sequence."""
     return [(cell.w[k], cell.u[k], cell.b[k]) for k in range(cell.b.data.shape[0])]
@@ -24,17 +34,17 @@ def _gate_blocks(cell: CellParams) -> list[tuple[Tensor, Tensor, Tensor]]:
 
 def gru_step(gates: list[tuple[Tensor, Tensor, Tensor]], x: Tensor, h: Tensor) -> Tensor:
     (w_z, u_z, b_z), (w_r, u_r, b_r), (w_c, u_c, b_c) = gates
-    z = ag.sigmoid(x @ w_z + h @ u_z + b_z)
-    r = ag.sigmoid(x @ w_r + h @ u_r + b_r)
+    z = sigmoid(x @ w_z + h @ u_z + b_z)
+    r = sigmoid(x @ w_r + h @ u_r + b_r)
     cand = ag.tanh(x @ w_c + (r * h) @ u_c + b_c)
     return (1.0 - z) * h + z * cand
 
 
 def lstm_step(gates: list[tuple[Tensor, Tensor, Tensor]], x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     (w_i, u_i, b_i), (w_f, u_f, b_f), (w_o, u_o, b_o), (w_g, u_g, b_g) = gates
-    i = ag.sigmoid(x @ w_i + h @ u_i + b_i)
-    f = ag.sigmoid(x @ w_f + h @ u_f + b_f)
-    o = ag.sigmoid(x @ w_o + h @ u_o + b_o)
+    i = sigmoid(x @ w_i + h @ u_i + b_i)
+    f = sigmoid(x @ w_f + h @ u_f + b_f)
+    o = sigmoid(x @ w_o + h @ u_o + b_o)
     g = ag.tanh(x @ w_g + h @ u_g + b_g)
     c_next = f * c + i * g
     h_next = o * ag.tanh(c_next)

@@ -8,6 +8,7 @@ from absalab.alsa import (
     AlsaSample,
     InputMode,
     MultitaskModel,
+    _noise_seed,
     alsa_forward,
     alsa_loss,
     aspect_mean,
@@ -76,6 +77,15 @@ def test_noise_input_is_seed_stable():
     assert first.data.tobytes() == second.data.tobytes()
     other_sentence, _ = build_input(sample_of(sid="s1"), mode, emb)
     assert not np.array_equal(first.data[:, 6:], other_sentence.data[:, 6:])
+
+
+def test_noise_input_single_token_width_one():
+    words, aspect = build_input(sample_of(n=1, span=(0, 0)), InputMode.noise(1, seed=5), embeddings_of(dtype=np.float32))
+    assert words.data.shape == (1, 7) and aspect.data.shape == (1, 7)
+    assert words.data.dtype == np.float32 and np.isfinite(words.data).all()
+    # the float64 draw, cast once: a float32 draw would take another generator path
+    draw = np.random.default_rng(_noise_seed(5, "s0")).standard_normal((1, 1))
+    assert words.data[:, 6:].tobytes() == draw.astype(np.float32).tobytes()
 
 
 def test_missing_transfer_rows_error_names_sentence():
@@ -212,11 +222,13 @@ def test_transfer_width_zero_is_bit_identical_to_plain(arch):
     emb = embeddings_of(dtype=np.float32)
     sample = sample_of()
     plain_words, _ = build_input(sample, InputMode.plain(), emb)
-    degenerate = InputMode.transfer({"s0": np.zeros((5, 0), dtype=np.float32)}, extra_dim=0)
-    transfer_words, _ = build_input(sample, degenerate, emb)
     plain_logits, _ = alsa_forward(model, plain_words, sample.span)
-    transfer_logits, _ = alsa_forward(model, transfer_words, sample.span)
-    assert plain_logits.data.tobytes() == transfer_logits.data.tobytes()
+    for degenerate in (InputMode.transfer({"s0": np.zeros((5, 0), dtype=np.float32)}, extra_dim=0),
+                       InputMode.noise(0, seed=4)):
+        widened_words, _ = build_input(sample, degenerate, emb)
+        assert widened_words.data.dtype == np.float32 and widened_words.data.shape == (5, 6)
+        widened_logits, _ = alsa_forward(model, widened_words, sample.span)
+        assert plain_logits.data.tobytes() == widened_logits.data.tobytes()
 
 
 @pytest.mark.parametrize("arch", ["tclstm", "atae", "ian"])

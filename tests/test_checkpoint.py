@@ -77,6 +77,25 @@ def test_trailing_bytes_rejected(tmp_path):
         load_archive(tmp_path / "pad.ckpt")
 
 
+def _one_entry(name: bytes, value: float) -> bytes:
+    return len(name).to_bytes(2, "little") + name + bytes([1]) + (1).to_bytes(4, "little") + np.float32(value).tobytes()
+
+
+def test_duplicate_entry_name_rejected(tmp_path):
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(MAGIC + bytes([1]) + (2).to_bytes(4, "little") + _one_entry(b"w", 1.0) + _one_entry(b"w", 2.0))
+    with pytest.raises(ValueError, match=r"dup\.ckpt: duplicate entry 'w'"):
+        load_archive(path)
+
+
+def test_non_utf8_entry_name_names_file_and_byte(tmp_path):
+    path = tmp_path / "name.ckpt"
+    path.write_bytes(MAGIC + bytes([1]) + (1).to_bytes(4, "little") + _one_entry(b"a\xffb", 1.0))
+    # the name starts after magic, version, count and its uint16 length: its 0xff is byte 18
+    with pytest.raises(ValueError, match=r"name\.ckpt: entry name is not UTF-8 at byte 18"):
+        load_archive(path)
+
+
 def test_sentence_keyed_cache(tmp_path):
     cache = {f"sent-{i}": np.random.default_rng(i).normal(size=(i + 1, 4)).astype(np.float32)
              for i in range(5)}

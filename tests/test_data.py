@@ -567,6 +567,20 @@ def test_dataset_cache_missing_field_names_file_and_line(tmp_path, laptop_train_
         read_dataset_cache(path, vocab)
 
 
+@pytest.mark.parametrize("bio", [["B", "X", "O"], "BO", ["B"], ["B", "O", "O", "O"], [["B"], "O", "O"]])
+def test_dataset_cache_bad_bio_names_file_and_line(tmp_path, bio):
+    path = tmp_path / "cache.jsonl"
+    ok = {"sentence_id": "s1", "domain": "laptop", "text": "a b c", "bio": None, "samples": [],
+          "tokens": [["a", 0, 1], ["b", 2, 3], ["c", 4, 5]]}
+    path.write_text(json.dumps(ok) + "\n" + json.dumps({**ok, "sentence_id": "s2", "bio": bio}) + "\n",
+                    encoding="utf-8")
+    vocab = Vocabulary.random(["a", "b", "c"], dim=4, seed=0)
+    with pytest.raises(IngestError, match=r"cache\.jsonl: line 2: malformed record: bio must be null or one B/I/O"):
+        read_dataset_cache(path, vocab)
+    path.write_text(json.dumps({**ok, "bio": ["B", "I", "O"]}) + "\n", encoding="utf-8")
+    assert read_dataset_cache(path, vocab).sentences[0].bio == ["B", "I", "O"]
+
+
 # -- ingest errors name the file and the sentence -------------------------------------
 
 

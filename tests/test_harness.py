@@ -36,6 +36,7 @@ from absalab.metrics import macro_f1
 from absalab.optim import AdamConfig, ParamStore
 from absalab.synthetic import synthetic_alsa_samples
 from absalab import alsa as alsa_mod
+from absalab import harness
 
 
 def tiny_config(fixtures_dir, tmp_path, **overrides) -> ExperimentConfig:
@@ -233,6 +234,36 @@ def test_train_ae_task_and_multitask(fixtures_dir, tmp_path):
     assert ae_result.meta["transfer_dim"] == 6
     mt_result = train(tiny_config(fixtures_dir, tmp_path, task="multitask", epochs=1))
     assert mt_result.meta["task"] == "multitask"
+
+
+@pytest.mark.parametrize("dev_fraction", [0.0, 0.2])
+def test_tagging_split_order_reaches_fit(fixtures_dir, tmp_path, monkeypatch, dev_fraction):
+    """ae permutes its items with seed + 1 even without a dev slice; multitask
+    keeps its order then; at a dev fraction both train on the same cut."""
+
+    class Stop(Exception):
+        pass
+
+    def record(store, items, *args):
+        received.append(list(items))
+        raise Stop
+
+    received = []
+    monkeypatch.setattr(harness, "fit", record)
+    config = tiny_config(fixtures_dir, tmp_path, dev_fraction=dev_fraction)
+    datasets, vocab = load_domain(config, require=("train",))
+    train_set = datasets["train"]
+    ae_items = [(vocab.ids(t.text for t in s.tokens), s.bio) for s in train_set.sentences if s.bio and s.tokens]
+    mt_items = harness._multitask_items(train_set)
+    for task, items in (("ae", ae_items), ("multitask", mt_items)):
+        with pytest.raises(Stop):
+            train(dataclasses.replace(config, task=task))
+        order = np.random.default_rng(config.seed + 1).permutation(len(items))
+        if dev_fraction:
+            want = [items[i] for i in order[: max(1, int(len(items) * (1 - dev_fraction)))]]
+        else:
+            want = [items[i] for i in order] if task == "ae" else items
+        assert len(items) > 2 and received.pop() == want
 
 
 def test_overfit_small_synthetic_set_quickly():

@@ -3,17 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from absalab import autograd as ag
-from absalab.optim import AdamConfig, ParamStore, adam_step, forward_backward, grad_check
+from absalab.optim import BETA1, BETA2, EPS, AdamConfig, ParamStore, adam_step, forward_backward, grad_check
 
 
 def test_adam_config_validation():
     AdamConfig(lr=0.001)
     with pytest.raises(ValueError):
         AdamConfig(lr=-1.0)
-    with pytest.raises(ValueError):
-        AdamConfig(lr=0.001, beta1=1.0)
-    with pytest.raises(ValueError):
-        AdamConfig(lr=0.001, eps=0.0)
     with pytest.raises(ValueError):
         AdamConfig(lr=0.001, l2_lambda=-0.1)
 
@@ -111,7 +107,8 @@ def test_adam_step_requires_populated_gradients():
 
 
 def test_adam_matches_reference_implementation(rng):
-    # independent reference: textbook bias-corrected Adam in plain numpy
+    # independent reference: textbook bias-corrected Adam in plain numpy, with the usual constants
+    assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
     store = ParamStore()
     w = store.param("w", rng.normal(size=(3, 2)))
     cfg = AdamConfig(lr=0.01, l2_lambda=0.003)
@@ -121,9 +118,9 @@ def test_adam_matches_reference_implementation(rng):
     for t in range(1, 6):
         forward_backward(store, lambda: (w * w).sum())
         g = 2 * theta + cfg.l2_lambda * theta
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        theta = theta - cfg.lr * (m / (1 - cfg.beta1**t)) / (np.sqrt(v / (1 - cfg.beta2**t)) + cfg.eps)
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * g * g
+        theta = theta - cfg.lr * (m / (1 - BETA1**t)) / (np.sqrt(v / (1 - BETA2**t)) + EPS)
         adam_step(store, cfg)
         npt.assert_allclose(store.value("w"), theta, atol=1e-12)
 
@@ -137,14 +134,14 @@ def test_adam_matches_reference_implementation(rng):
     for t in range(1, 8):
         forward_backward(store, lambda: ((w - target) * (w - target)).sum())
         g = store.gradient("w").copy()
-        bc1 = 1.0 - cfg.beta1**t
-        bc2 = 1.0 - cfg.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         g = g + cfg.l2_lambda * theta
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+        m[...] = BETA1 * m + (1.0 - BETA1) * g
+        v[...] = BETA2 * v + (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        theta -= (cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)).astype(theta.dtype, copy=False)
+        theta -= (cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)).astype(theta.dtype, copy=False)
         adam_step(store, cfg)
         assert store.value("w").dtype == np.float32
         assert store.value("w").tobytes() == theta.tobytes()
@@ -183,5 +180,5 @@ def test_grad_check_reports_offending_coordinate():
 def test_grad_check_samples_deterministically(rng):
     store = ParamStore()
     w = store.param("w", rng.normal(size=(20,)))
-    errs = {grad_check(store, lambda: (ag.sigmoid(w) * w).sum(), max_coords_per_param=4, seed=3) for _ in range(3)}
+    errs = {grad_check(store, lambda: (ag.tanh(w) * w).sum(), max_coords_per_param=4, seed=3) for _ in range(3)}
     assert len(errs) == 1
