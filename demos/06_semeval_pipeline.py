@@ -1,6 +1,6 @@
 """Dataset ingestion and the file-based experiment harness on the fixtures.
 
-Parses SemEval-style XML, shows tokenization and BIO alignment, the
+Parses SemEval-style XML, shows tokenization and the BIO gold, the
 class/SA/MA distributions, the processed-dataset cache, and a complete
 train -> checkpoint -> evaluate round trip through the harness. Point
 `data_dir` at the real SemEval-2014 files to run the same flow at scale.
@@ -10,9 +10,9 @@ import json
 import tempfile
 from pathlib import Path
 
+from absalab.ae import encode_spans
 from absalab.data import (
     Vocabulary,
-    align_bio,
     build_dataset,
     collect_tokens,
     parse_semeval,
@@ -35,7 +35,7 @@ tokens = tokenize(record.text)
 print("text:     ", record.text)
 print("tokens:   ", [t.text for t in tokens])
 print("offsets:  ", [(t.char_start, t.char_end) for t in tokens])
-print("BIO gold: ", align_bio(tokens, record.aspects))
+print("BIO gold: ", encode_spans(record.spans, len(tokens)))
 
 vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
 dataset = build_dataset(parsed, "laptop", vocab)

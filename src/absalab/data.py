@@ -1,14 +1,15 @@
 """SemEval-2014 Task 4 ingestion and text preprocessing.
 
-Covers XML parsing, the whitespace+punctuation tokenizer, character-offset
-to token BIO alignment, pretrained-embedding loading with a shared UNK row,
-and the single/multi-aspect dataset slicing. All transforms are pure and
+Covers XML parsing, the whitespace+punctuation tokenizer, aspect token spans
+by character overlap (and BIO gold from them), embedding loading with a shared
+UNK row, and the single/multi-aspect dataset slicing. All transforms are pure and
 deterministic; offsets always refer to the original sentence text.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import string
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -17,14 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ae import AspectSpan
-from .alsa import POLARITY_TO_LABEL, AlsaSample
+from .ae import AspectSpan, encode_spans
+from .alsa import LABEL_NAMES, POLARITY_TO_LABEL, AlsaSample
 
 GLOVE_DIM = 300
 UNK_INIT_RANGE = 0.25
 UNK_SEED = 13
 RANDOM_INIT_RANGE = 0.5  # rows of Vocabulary.random
-_PUNCTUATION = set(string.punctuation)
+_TOKEN = re.compile(r"[{0}]|[^\s{0}]+".format(re.escape(string.punctuation)))
 VECTOR_BATCH = 256  # wanted vector lines parsed per np.loadtxt call
 _READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"  # whitespace around a field to numpy's reader, not to float()
 
@@ -56,6 +57,7 @@ class ParsedSentence:
     text: str
     aspects: tuple[RawAspect, ...]
     tokens: tuple[Token, ...]
+    spans: tuple[AspectSpan | None, ...]  # one per aspect; None for a conflict aspect covering no token
 
 
 def parse_semeval(xml_text: str) -> list[ParsedSentence]:
@@ -63,9 +65,9 @@ def parse_semeval(xml_text: str) -> list[ParsedSentence]:
 
     Sentences without aspect terms are kept (they make useful all-O
     tagging examples). Conflict-polarity aspects are kept here and
-    filtered later when building classification samples. Text that yields
-    no token, and a non-conflict aspect that covers no token, raise with
-    the sentence id.
+    filtered later when building classification samples. A repeated
+    sentence id, text that yields no token, and a non-conflict aspect that
+    covers no token raise with the sentence id.
     """
     try:
         root = ET.fromstring(xml_text)
@@ -73,8 +75,11 @@ def parse_semeval(xml_text: str) -> list[ParsedSentence]:
         line, col = err.position
         raise IngestError(f"malformed XML at line {line}, column {col}: {err.msg}") from None
     sentences = []
+    first_at: dict[str, int] = {}  # sentence id -> 1-based position of its first sentence
     for i, node in enumerate(root.iter("sentence")):
         sid = node.get("id", str(i))
+        if first_at.setdefault(sid, i + 1) != i + 1:
+            raise IngestError(f"sentence {sid!r}: duplicate sentence id (first at sentence {first_at[sid]})")
         text_node = node.find("text")
         if text_node is None or text_node.text is None:
             raise IngestError(f"sentence {sid!r} has no text element")
@@ -100,12 +105,13 @@ def parse_semeval(xml_text: str) -> list[ParsedSentence]:
             aspects.append(RawAspect(attrs["term"], attrs["polarity"], char_from, char_to))
         try:
             tokens = tuple(tokenize(text_node.text))
-            for aspect in aspects:
-                if aspect.polarity != "conflict":
-                    aspect_token_span(tokens, aspect)
+            spans = tuple(aspect_token_span(tokens, aspect) for aspect in aspects)
+            for aspect, span in zip(aspects, spans):
+                if span is None and aspect.polarity != "conflict":
+                    raise IngestError(f"aspect {aspect.term!r} [{aspect.char_from}, {aspect.char_to}) matches no token")
         except IngestError as err:
             raise IngestError(f"sentence {sid!r}: {err}") from None
-        sentences.append(ParsedSentence(sid, text_node.text, tuple(aspects), tokens))
+        sentences.append(ParsedSentence(sid, text_node.text, tuple(aspects), tokens, spans))
     return sentences
 
 
@@ -118,48 +124,16 @@ def read_semeval(path) -> list[ParsedSentence]:
 
 
 def tokenize(text: str) -> list[Token]:
-    """Lowercased whitespace tokens with punctuation split off one char at
-    a time; offsets index the original string."""
+    """Lowercased whitespace tokens, each ASCII punctuation mark split off; offsets index the original text."""
     if not text or not text.strip():
         raise IngestError("cannot tokenize empty or whitespace-only text")
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] in _PUNCTUATION:
-            tokens.append(Token(text[i].lower(), i, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _PUNCTUATION:
-            j += 1
-        tokens.append(Token(text[i:j].lower(), i, j))
-        i = j
-    return tokens
+    return [Token(m.group().lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
 
 
-def aspect_token_span(tokens: Sequence[Token], aspect: RawAspect) -> AspectSpan:
-    """Token span of one aspect by character overlap."""
+def aspect_token_span(tokens: Sequence[Token], aspect: RawAspect) -> AspectSpan | None:
+    """Token span of one aspect by character overlap; None when no token overlaps it."""
     hits = [i for i, t in enumerate(tokens) if t.char_start < aspect.char_to and aspect.char_from < t.char_end]
-    if not hits:
-        raise IngestError(f"aspect {aspect.term!r} [{aspect.char_from}, {aspect.char_to}) matches no token")
-    return AspectSpan(hits[0], hits[-1])
-
-
-def align_bio(tokens: Sequence[Token], aspects: Sequence[RawAspect]) -> list[str]:
-    """BIO labels by character overlap; overlapping aspects are rejected."""
-    labels = ["O"] * len(tokens)
-    for aspect in aspects:
-        span = aspect_token_span(tokens, aspect)
-        for i in range(span.start, span.end + 1):
-            if labels[i] != "O":
-                raise IngestError(f"aspect {aspect.term!r} overlaps another aspect at token {i}")
-        labels[span.start] = "B"
-        for i in range(span.start + 1, span.end + 1):
-            labels[i] = "I"
-    return labels
+    return AspectSpan(hits[0], hits[-1]) if hits else None
 
 
 @dataclass
@@ -306,11 +280,6 @@ class Dataset:
     sentences: list[SentenceData] = field(default_factory=list)
     samples: list[AlsaSample] = field(default_factory=list)
 
-    @property
-    def skipped_sentences(self) -> int:
-        """Sentences whose BIO alignment failed."""
-        return sum(s.bio is None for s in self.sentences)
-
 
 def collect_tokens(parsed: Iterable[ParsedSentence]) -> list[str]:
     return [t.text for record in parsed for t in record.tokens]
@@ -330,22 +299,21 @@ def _add_sentence(dataset: Dataset, vocab: Vocabulary, sentence: SentenceData,
 
 
 def build_dataset(parsed: Iterable[ParsedSentence], domain: str, vocab: Vocabulary) -> Dataset:
-    """Align and index a parsed corpus.
+    """Index a parsed corpus: BIO gold and samples from the parsed spans.
 
     Classification samples drop conflict-polarity aspects; tagging gold
     keeps them (they are real aspect terms). Sentences with overlapping
     aspects, or with a conflict aspect that covers no token, are excluded
-    from tagging gold (bio=None, counted in `skipped_sentences`) but still
-    yield classification samples.
+    from tagging gold (bio=None) but still yield classification samples.
     """
     dataset = Dataset(domain)
     for record in parsed:
         try:
-            bio = align_bio(record.tokens, record.aspects)
-        except IngestError:
+            bio = encode_spans(record.spans, len(record.tokens)) if None not in record.spans else None
+        except ValueError:  # overlapping aspects
             bio = None
-        labelled = [(aspect_token_span(record.tokens, a), POLARITY_TO_LABEL[a.polarity])
-                    for a in record.aspects if a.polarity != "conflict"]
+        labelled = [(span, POLARITY_TO_LABEL[a.polarity])
+                    for a, span in zip(record.aspects, record.spans) if a.polarity != "conflict"]
         _add_sentence(dataset, vocab, SentenceData(record.sentence_id, record.text, domain, record.tokens, bio),
                       labelled)
     return dataset
@@ -386,7 +354,7 @@ def write_dataset_cache(path, dataset: Dataset) -> None:
     for s in dataset.samples:
         samples_by_sentence.setdefault(s.sentence_id, []).append(
             {"start": s.span.start, "end": s.span.end, "label": s.label,
-             "polarity": ("positive", "negative", "neutral")[s.label]}
+             "polarity": LABEL_NAMES[s.label]}
         )
     with open(path, "w", encoding="utf-8") as fh:
         for sent in dataset.sentences:
@@ -404,6 +372,7 @@ def write_dataset_cache(path, dataset: Dataset) -> None:
 def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
     """Inverse of :func:`write_dataset_cache`; a bad record names the file and line."""
     dataset = Dataset(domain="")
+    first_line: dict[str, int] = {}  # sentence id -> line of its first record
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -414,6 +383,7 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
                                         or any(label not in ("B", "I", "O") for label in bio)):
                     raise ValueError(f"bio must be null or one B/I/O label for each of the {len(tokens)} tokens")
                 sentence = SentenceData(record["sentence_id"], record["text"], record["domain"], tokens, bio)
+                first = first_line.setdefault(sentence.sentence_id, lineno)
                 labelled = [(AspectSpan(s["start"], s["end"]), s["label"]) for s in record["samples"]]
                 _add_sentence(dataset, vocab, sentence, labelled)
             except KeyError as err:
@@ -422,4 +392,7 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
                 raise IngestError(f"{path}: line {lineno}: malformed JSON at column {err.colno}: {err.msg}") from None
             except (IndexError, TypeError, AttributeError, ValueError) as err:
                 raise IngestError(f"{path}: line {lineno}: malformed record: {err}") from None
+            if first != lineno:
+                raise IngestError(f"{path}: line {lineno}: duplicate sentence id {sentence.sentence_id!r} "
+                                  f"(first on line {first})")
     return dataset

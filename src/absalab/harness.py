@@ -436,8 +436,16 @@ def load_model(checkpoint_path, embeddings: np.ndarray,
         raise ValueError(
             f"checkpoint architecture {meta.get('architecture')!r} does not match expected {expected_architecture!r}"
         )
+    sidecar = f"{checkpoint_path}.meta.json"
+    if meta.get("input_mode", "plain") not in INPUT_MODES:
+        raise ValueError(f"{sidecar}: unknown input_mode {meta['input_mode']!r}")
     store = ParamStore()
-    model = build_model_from_meta(store, meta, embeddings)
+    try:
+        model = build_model_from_meta(store, meta, embeddings)
+    except KeyError as err:
+        raise ValueError(f"{sidecar}: missing field {err.args[0]!r}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{sidecar}: {err}") from None
     try:
         store.load_values(values)
     except (KeyError, ValueError) as err:

@@ -1,5 +1,6 @@
 import json
 import re
+import string
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absalab.ae import AspectSpan, decode_spans
+from absalab.ae import AspectSpan, decode_spans, encode_spans
 from absalab.data import (
     UNK_INIT_RANGE,
     UNK_SEED,
@@ -16,7 +17,6 @@ from absalab.data import (
     RawAspect,
     Token,
     Vocabulary,
-    align_bio,
     aspect_token_span,
     build_dataset,
     collect_tokens,
@@ -62,6 +62,54 @@ def test_tokenize_rejects_empty():
         tokenize("   ")
     with pytest.raises(IngestError):
         tokenize("")
+
+
+def _reference_tokenize(text):
+    """The character loop the one-regex tokenizer replaced: whitespace by
+    `str.isspace`, each ASCII punctuation character its own token."""
+    if not text or not text.strip():
+        raise IngestError("cannot tokenize empty or whitespace-only text")
+    punctuation = set(string.punctuation)
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        if text[i] in punctuation:
+            tokens.append(Token(text[i].lower(), i, i + 1))
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in punctuation:
+            j += 1
+        tokens.append(Token(text[i:j].lower(), i, j))
+        i = j
+    return tokens
+
+
+def test_regex_whitespace_is_str_isspace_on_every_code_point():
+    space = re.compile(r"\s")
+    differ = [hex(c) for c in range(0x110000) if bool(space.fullmatch(chr(c))) != chr(c).isspace()]
+    assert differ == []
+
+
+_TEXT_CHARS = "".join([" \t\n\r\x0b\x0c\x85\xa0\u2028\u3000",  # whitespace
+                       "\x1c\x1d\x1e\x1f",  # information separators, also whitespace to isspace()
+                       string.punctuation, "，“”’…¿—",  # ASCII and non-ASCII punctuation
+                       "aZ9ßİéΣ"])  # letters and a digit; İ lowercases to two characters
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.sampled_from(_TEXT_CHARS), max_size=30))
+def test_tokenize_matches_the_character_loop(text):
+    outcomes = []
+    for tokenizer in (tokenize, _reference_tokenize):
+        try:
+            outcomes.append(tokenizer(text))
+        except IngestError as err:
+            outcomes.append(str(err))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- parse_semeval -------------------------------------------------------------------
@@ -130,8 +178,7 @@ def test_parse_tolerates_aspect_categories_and_entities():
     parsed = parse_semeval(xml)
     assert parsed[0].text == "Best café & bar around!"
     assert parsed[0].aspects == (RawAspect("café", "positive", 5, 9),)
-    tokens = tokenize(parsed[0].text)
-    assert align_bio(tokens, parsed[0].aspects) == ["O", "B", "O", "O", "O", "O"]
+    assert encode_spans(parsed[0].spans, len(parsed[0].tokens)) == ["O", "B", "O", "O", "O", "O"]
 
 
 def test_unicode_offsets_round_trip():
@@ -154,43 +201,69 @@ def test_parse_rejects_bad_offsets_and_polarity():
         parse_semeval(bad_polarity)
 
 
-# -- align_bio -----------------------------------------------------------------------
+def test_parse_rejects_a_duplicate_sentence_id(tmp_path):
+    twice = ('<sentences><sentence id="s0"><text>ok</text></sentence><sentence id="s1"><text>a</text>'
+             '</sentence><sentence id="s1"><text>b</text></sentence></sentences>')
+    with pytest.raises(IngestError, match=re.escape("sentence 's1': duplicate sentence id (first at sentence 2)")):
+        parse_semeval(twice)
+    path = tmp_path / "twice.xml"
+    path.write_text(twice, encoding="utf-8")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: sentence 's1': duplicate sentence id")):
+        read_semeval(path)
+    # a sentence without an id takes its 0-based index as its id
+    indexed = '<sentences><sentence id="1"><text>a</text></sentence><sentence><text>b</text></sentence></sentences>'
+    with pytest.raises(IngestError, match=re.escape("sentence '1': duplicate sentence id (first at sentence 1)")):
+        parse_semeval(indexed)
 
 
-def test_align_bio_basic():
-    text = "the battery life rocks"
-    tokens = tokenize(text)
-    aspect = RawAspect("battery life", "positive", 4, 16)
-    assert align_bio(tokens, [aspect]) == ["O", "B", "I", "O"]
+# -- BIO gold -------------------------------------------------------------------------
 
 
-def test_align_bio_partial_token_overlap_marks_token():
-    text = "batteries everywhere"
-    tokens = tokenize(text)
-    aspect = RawAspect("battery", "positive", 0, 7)  # substring of 'batteries'
-    assert align_bio(tokens, [aspect]) == ["B", "O"]
+def _built(text, *aspects):
+    """The one sentence of `text` with `(term, polarity, from, to)` aspects,
+    through parse_semeval and build_dataset: (parsed record, dataset)."""
+    terms = "".join(f'<aspectTerm term="{term}" polarity="{polarity}" from="{a}" to="{b}"/>'
+                    for term, polarity, a, b in aspects)
+    parsed = parse_semeval(f'<sentences><sentence id="s1"><text>{text}</text>'
+                           f"<aspectTerms>{terms}</aspectTerms></sentence></sentences>")
+    return parsed[0], build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4, seed=0))
 
 
-def test_align_bio_no_aspects_is_all_o():
-    assert align_bio(tokenize("nothing here"), []) == ["O", "O"]
+def test_bio_gold_basic():
+    record, dataset = _built("the battery life rocks", ("battery life", "positive", 4, 16))
+    assert record.spans == (AspectSpan(1, 2),)
+    assert dataset.sentences[0].bio == ["O", "B", "I", "O"]
 
 
-def test_align_bio_zero_token_aspect_errors():
-    tokens = tokenize("short text")
-    aspect = RawAspect("ghost", "neutral", 5, 6)  # inside the space gap? no: offsets 5..6 = ' t'
-    # use a range that falls strictly within whitespace by constructing a wider text
-    tokens = tokenize("a  b")  # offsets: a=0..1, b=3..4; range 1..2 hits the gap only
-    assert align_bio(tokens, []) == ["O", "O"]
-    with pytest.raises(IngestError, match="ghost"):
-        align_bio(tokens, [RawAspect("ghost", "neutral", 1, 2)])
+def test_bio_gold_partial_token_overlap_marks_token():
+    _, dataset = _built("batteries everywhere", ("battery", "positive", 0, 7))  # substring of 'batteries'
+    assert dataset.sentences[0].bio == ["B", "O"]
+    assert [s.span for s in dataset.samples] == [AspectSpan(0, 0)]
 
 
-def test_align_bio_overlapping_aspects_error():
-    tokens = tokenize("great battery life here")
-    a = RawAspect("battery life", "positive", 6, 18)
-    b = RawAspect("life", "negative", 14, 18)
-    with pytest.raises(IngestError, match="overlap"):
-        align_bio(tokens, [a, b])
+def test_bio_gold_no_aspects_is_all_o():
+    record, dataset = _built("nothing here")
+    assert record.spans == ()
+    assert dataset.sentences[0].bio == ["O", "O"] == encode_spans(record.spans, 2)
+
+
+def test_bio_gold_zero_token_aspect():
+    # "a  b": a=0..1, b=3..4; the range 1..2 hits the gap only
+    with pytest.raises(IngestError, match=r"sentence 's1': aspect 'ghost' \[1, 2\) matches no token"):
+        _built("a  b", ("ghost", "neutral", 1, 2))
+    record, dataset = _built("a  b", ("ghost", "conflict", 1, 2))
+    assert record.spans == (None,)
+    assert dataset.sentences[0].bio is None
+    assert dataset.samples == []
+
+
+def test_bio_gold_overlapping_aspects_is_none_with_samples_kept():
+    record, dataset = _built("great battery life here", ("battery life", "positive", 6, 18),
+                             ("life", "negative", 14, 18))
+    with pytest.raises(ValueError, match="overlap"):
+        encode_spans(record.spans, len(record.tokens))
+    assert dataset.sentences[0].bio is None
+    assert [(s.span, s.label) for s in dataset.samples] == [(AspectSpan(1, 2), 0), (AspectSpan(2, 2), 1)]
 
 
 def test_aspect_token_span_matches_decode():
@@ -199,18 +272,20 @@ def test_aspect_token_span_matches_decode():
     aspect = RawAspect("battery life", "positive", 4, 16)
     span = aspect_token_span(tokens, aspect)
     assert span == AspectSpan(1, 2)
-    assert decode_spans(align_bio(tokens, [aspect])) == [span]
+    assert decode_spans(encode_spans([span], len(tokens))) == [span]
+    assert aspect_token_span(tokenize("a  b"), RawAspect("ghost", "conflict", 1, 2)) is None
 
 
 def test_bio_round_trip_over_all_fixture_sentences(laptop_train_xml, restaurant_train_xml,
                                                    laptop_test_xml, restaurant_test_xml):
-    # aligning then decoding recovers exactly the per-aspect token spans
+    # the BIO gold decodes to exactly the per-aspect token spans
     for xml in (laptop_train_xml, restaurant_train_xml, laptop_test_xml, restaurant_test_xml):
-        for record in parse_semeval(xml):
-            tokens = tokenize(record.text)
-            labels = align_bio(tokens, record.aspects)
-            expected = sorted(aspect_token_span(tokens, a) for a in record.aspects)
-            assert decode_spans(labels) == expected
+        parsed = parse_semeval(xml)
+        dataset = build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4, seed=0))
+        for record, sentence in zip(parsed, dataset.sentences, strict=True):
+            expected = sorted(aspect_token_span(record.tokens, a) for a in record.aspects)
+            assert sorted(record.spans) == expected
+            assert decode_spans(sentence.bio) == expected
 
 
 # -- embeddings ---------------------------------------------------------------------
@@ -460,7 +535,7 @@ def test_fixture_polarity_counts_drop_conflict(laptop_train_xml):
     dataset = laptop_train_dataset(laptop_train_xml)
     assert polarity_counts(dataset.samples) == (1, 3, 1)
     assert len(dataset.samples) == 5  # conflict aspect dropped
-    assert dataset.skipped_sentences == 0
+    assert all(s.bio is not None for s in dataset.sentences)
 
 
 def test_fixture_conflict_tokens_still_tagged(laptop_train_xml):
@@ -540,12 +615,12 @@ def test_dataset_cache_keeps_skipped_sentence_count(tmp_path):
     parsed = parse_semeval(xml)
     vocab = Vocabulary.random(collect_tokens(parsed), dim=4, seed=0)
     dataset = build_dataset(parsed, "laptop", vocab)
-    assert dataset.skipped_sentences == 1
+    assert [s.bio is None for s in dataset.sentences] == [True, False]
     assert len(dataset.samples) == 2  # overlapping aspects still yield samples
     path = tmp_path / "cache.jsonl"
     write_dataset_cache(path, dataset)
     loaded = read_dataset_cache(path, vocab)
-    assert loaded.skipped_sentences == 1
+    assert [s.bio is None for s in loaded.sentences] == [True, False]
     assert loaded.samples == dataset.samples
 
 
@@ -579,6 +654,16 @@ def test_dataset_cache_bad_bio_names_file_and_line(tmp_path, bio):
         read_dataset_cache(path, vocab)
     path.write_text(json.dumps({**ok, "bio": ["B", "I", "O"]}) + "\n", encoding="utf-8")
     assert read_dataset_cache(path, vocab).sentences[0].bio == ["B", "I", "O"]
+
+
+def test_dataset_cache_rejects_a_duplicate_sentence_id(tmp_path, laptop_train_xml):
+    path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
+    record = json.loads(lines[1])
+    lines.append(json.dumps(record))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line {len(lines)}: duplicate sentence id "
+                                                    f"{record['sentence_id']!r} (first on line 2)")):
+        read_dataset_cache(path, vocab)
 
 
 # -- ingest errors name the file and the sentence -------------------------------------
@@ -621,5 +706,5 @@ def test_conflict_aspect_covering_no_token_loads_without_tagging_gold(tmp_path):
     datasets, _ = load_domain(ExperimentConfig(data_dir=str(tmp_path), embedding_dim=4), require=("train",))
     by_id = {s.sentence_id: s for s in datasets["train"].sentences}
     assert by_id["s2"].bio is None
-    assert datasets["train"].skipped_sentences == 1
+    assert sum(s.bio is None for s in datasets["train"].sentences) == 1
     assert [(s.sentence_id, s.span) for s in datasets["train"].samples] == [("s2", AspectSpan(1, 1))]

@@ -329,6 +329,29 @@ def test_load_model_rejects_checkpoint_missing_a_parameter(tmp_path):
             load_model(path, np.zeros((2, 4), dtype=np.float32))
 
 
+SIDECAR_FAULTS = {
+    "missing-field": (lambda meta: meta.pop("d_in"), "missing field 'd_in'"),
+    "mistyped-field": (lambda meta: meta.update(hidden="3"), "'str' object cannot be interpreted as an integer"),
+    "unknown-task": (lambda meta: meta.update(task="tagging"), "cannot rebuild model for task 'tagging'"),
+    "unknown-input-mode": (lambda meta: meta.update(input_mode="nois"), "unknown input_mode 'nois'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SIDECAR_FAULTS))
+def test_load_model_sidecar_errors_name_the_sidecar(tmp_path, fault):
+    store = ParamStore()
+    alsa_mod.create_alsa_model(store, "atae", d_in=4, hidden=3, rng=np.random.default_rng(0))
+    meta = {"task": "alsa", "architecture": "atae", "d_in": 4, "hidden": 3, "seed": 0}
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, store.state_dict(), meta)  # no input_mode: plain
+    load_model(path, np.zeros((2, 4), dtype=np.float32))
+    edit, problem = SIDECAR_FAULTS[fault]
+    edit(meta)
+    save_checkpoint(path, store.state_dict(), meta)
+    with pytest.raises(ValueError, match=re.escape(f"{path}.meta.json: {problem}")):
+        load_model(path, np.zeros((2, 4), dtype=np.float32))
+
+
 CELL = ("w", "u", "b")
 CRF = ("emission_weight", "emission_bias", "transitions", "start", "end")
 ATTENTION = ("proj", "bias", "score")
