@@ -8,11 +8,12 @@ was created with ``requires_grad=True``.
 
 The op set is exactly what the sequence models in this package need:
 broadcast arithmetic, matrix products, ``tanh``, row-wise reductions,
-log-sum-exp, softmax heads, concatenation and indexing. The gates' sigmoid
-is the array function ``logistic``: the sequence kernels in
-``absalab.layers`` run a whole sequence as one node. Everything runs in
-whatever dtype the operands carry, so the same graph code serves
-single-precision training and double-precision gradient checking.
+softmax heads, concatenation and indexing. The gates' sigmoid is the array
+function ``logistic``: the sequence kernels in ``absalab.layers`` run a
+whole sequence as one node, and the CRF scores in ``absalab.crf`` are one
+node each. Everything runs in whatever dtype the operands carry, so the
+same graph code serves single-precision training and double-precision
+gradient checking.
 """
 
 from __future__ import annotations
@@ -109,9 +110,6 @@ class Tensor:
 
     def mean(self, axis=None):
         return tmean(self, axis=axis)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
@@ -298,24 +296,6 @@ def tmax(t: Tensor, axis: int) -> Tensor:
     return _node(data, (t,), backward)
 
 
-def logsumexp(t: Tensor, axis=None) -> Tensor:
-    """Log of summed exponentials, max-shifted for stability."""
-    t = _wrap(t)
-    m = np.max(t.data, axis=axis, keepdims=True)
-    data = np.log(np.sum(np.exp(t.data - m), axis=axis, keepdims=True)) + m
-    full = data
-    data = np.squeeze(data, axis=axis) if axis is not None else data.reshape(())
-
-    def backward(g):
-        weights = np.exp(t.data - full)
-        if axis is None:
-            _accumulate(t, g * weights)
-        else:
-            _accumulate(t, np.expand_dims(g, axis) * weights)
-
-    return _node(data, (t,), backward)
-
-
 # -- vector heads ---------------------------------------------------------------
 
 
@@ -422,15 +402,3 @@ def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
 
     return _node(data, ts, backward)
 
-
-def reshape(t: Tensor, shape) -> Tensor:
-    t = _wrap(t)
-    try:
-        data = t.data.reshape(shape)
-    except ValueError:
-        raise ShapeError("reshape", t.shape, detail=f"cannot reshape to {shape}") from None
-
-    def backward(g):
-        _accumulate(t, g.reshape(t.data.shape))
-
-    return _node(data, (t,), backward)

@@ -4,6 +4,11 @@ Scores factor as start + per-token emissions + adjacent-label transitions
 + end. The log-partition runs the forward recursion in log space; Viterbi
 decodes the MAP path; a brute-force enumerator over all 3^n paths serves
 as the test oracle for both.
+
+`log_partition` and `path_score` each put one node on the tape. Their
+hand-written backward adds every term in the order in which a tape of one
+node per operation (`tests/crf_oracle.py`) adds it, so the gradients keep
+that tape's bits.
 """
 
 from __future__ import annotations
@@ -75,23 +80,77 @@ def path_score(emissions, labels: Sequence[str], params: CrfParams) -> Tensor:
         raise ValueError(f"label count {len(idx)} does not match {n} emission rows")
     if n == 0:
         raise ValueError("path_score requires at least one position")
-    score = params.start[int(idx[0])] + params.end[int(idx[-1])]
-    score = score + e[np.arange(n), idx].sum()
+    first, last = int(idx[0]), int(idx[-1])
+    rows, pairs = (np.arange(n), idx), (idx[:-1], idx[1:])
+    score = params.start.data[first] + params.end.data[last] + e.data[rows].sum()
     if n > 1:
-        score = score + params.transitions[idx[:-1], idx[1:]].sum()
-    return score
+        score = score + params.transitions.data[pairs].sum()
+    # the summed tables and their fancy keys, in the per-op tape's backward order
+    sums = [(params.transitions, pairs), (e, rows)] if n > 1 else [(e, rows)]
+
+    def backward(g):
+        # then end and start; a repeated transition pair adds in index order
+        for table, key in sums:
+            if table.requires_grad:
+                gg = np.zeros_like(table.data)
+                np.add.at(gg, key, g.astype(table.dtype, copy=False))
+                ag._accumulate(table, gg)
+        for table, i in ((params.end, last), (params.start, first)):
+            if table.requires_grad:
+                if table.grad is None:
+                    table.grad = np.zeros_like(table.data)
+                table.grad[i] += g.astype(table.dtype, copy=False)
+
+    parents = (params.start, params.end, e, params.transitions)  # what the score reads
+    return ag._node(score, parents if n > 1 else parents[:3], backward)
 
 
 def log_partition(emissions, params: CrfParams) -> Tensor:
     """log sum over all 3^n paths of exp(path score), by forward recursion."""
     e = _emissions_tensor(emissions)
-    n = e.data.shape[0]
+    x = e.data
+    n = x.shape[0]
     if n == 0:
         raise ValueError("log_partition requires at least one position")
-    alpha = params.start + e[0]
+    start, transitions, end = params.start, params.transitions, params.end
+    alpha = alpha0 = start.data + x[0]
+    steps = []  # per later token: scores[prev, next] and their column log-sum-exp
     for i in range(1, n):
-        alpha = ag.logsumexp(alpha.reshape(NUM_LABELS, 1) + params.transitions, axis=0) + e[i]
-    return ag.logsumexp(alpha + params.end)
+        s = alpha.reshape(NUM_LABELS, 1) + transitions.data
+        m = s.max(axis=0, keepdims=True)
+        full = np.log(np.exp(s - m).sum(axis=0, keepdims=True)) + m
+        alpha = full[0] + x[i]
+        steps.append((s, full))
+    t = alpha + end.data
+    m = t.max(keepdims=True)
+    total = np.log(np.exp(t - m).sum(keepdims=True)) + m
+
+    # The per-op tape stores each intermediate gradient as zeros + term,
+    # which turns -0.0 into +0.0. The terms below skip that add, and no bit
+    # moves: a -0.0 term (only when g < 0 and a weight underflows to 0.0)
+    # stays a zero through the products and sums, and adding +-0.0 leaves a
+    # gradient slot as it is, since a slot starts at +0.0 and so never holds
+    # -0.0. The casts are the tape's: each of its nodes keeps its own dtype.
+    def backward(g):
+        gt = g * np.exp(t - total)
+        ag._accumulate(end, gt)
+        ga = gt.astype(alpha.dtype, copy=False)
+        if e.requires_grad and e.grad is None:  # rows are read as views: add into them in place
+            e.grad = np.zeros_like(x)
+        for i in range(n - 1, 0, -1):
+            if e.requires_grad:
+                e.grad[i] += ga.astype(x.dtype, copy=False)
+            s, full = steps[i - 1]
+            gs = ga[None] * np.exp(s - full)
+            ag._accumulate(transitions, gs)
+            ga = gs.sum(axis=1, keepdims=True).reshape(NUM_LABELS)
+        ga = ga.astype(alpha0.dtype, copy=False)
+        ag._accumulate(start, ga)
+        if e.requires_grad:
+            e.grad[0] += ga.astype(x.dtype, copy=False)
+
+    parents = (start, e, transitions, end) if n > 1 else (start, e, end)  # what the recursion reads
+    return ag._node(total.reshape(()), parents, backward)
 
 
 def nll(emissions, gold: Sequence[str], params: CrfParams) -> Tensor:

@@ -437,8 +437,15 @@ def load_model(checkpoint_path, embeddings: np.ndarray,
             f"checkpoint architecture {meta.get('architecture')!r} does not match expected {expected_architecture!r}"
         )
     sidecar = f"{checkpoint_path}.meta.json"
-    if meta.get("input_mode", "plain") not in INPUT_MODES:
-        raise ValueError(f"{sidecar}: unknown input_mode {meta['input_mode']!r}")
+    input_mode = meta.get("input_mode", "plain")
+    if input_mode not in INPUT_MODES:
+        raise ValueError(f"{sidecar}: unknown input_mode {input_mode!r}")
+    if input_mode != "plain":  # input_mode_from_meta reads the width of the extra rows
+        if "transfer_dim" not in meta:
+            raise ValueError(f"{sidecar}: missing field 'transfer_dim'")
+        dim = meta["transfer_dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
+            raise ValueError(f"{sidecar}: transfer_dim must be a non-negative int, got {dim!r}")
     store = ParamStore()
     try:
         model = build_model_from_meta(store, meta, embeddings)

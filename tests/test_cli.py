@@ -147,6 +147,25 @@ def test_train_alsa_noise_variant(capsys, fixtures_dir, tmp_path):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("edit, problem", [
+    (lambda meta: meta.pop("transfer_dim"), "missing field 'transfer_dim'"),
+    (lambda meta: meta.update(transfer_dim="8"), "transfer_dim must be a non-negative int, got '8'"),
+    (lambda meta: meta.update(transfer_dim=-6), "transfer_dim must be a non-negative int, got -6"),
+])
+def test_eval_names_the_sidecar_of_a_bad_transfer_dim(capsys, fixtures_dir, tmp_path, edit, problem):
+    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "noise",
+                             "--transfer-dim", "6", *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    ckpt = out.strip().splitlines()[-1].split(": ", 1)[1]
+    sidecar = Path(f"{ckpt}.meta.json")
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    edit(meta)
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", ckpt, *base_args(fixtures_dir, tmp_path))
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == f"ValueError: {sidecar}: {problem}"
+
+
 def test_train_multitask_via_task_flag(capsys, fixtures_dir, tmp_path):
     code, out, err = run_cli(capsys, "train-alsa", "--task", "multitask",
                              *base_args(fixtures_dir, tmp_path))
