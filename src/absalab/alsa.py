@@ -193,17 +193,18 @@ def tclstm_forward(model: TcLstmModel, word_matrix: Tensor, span: AspectSpan) ->
     """Left/right context LSTM final states, concatenated into the head.
 
     Contexts exclude the target words; each context row is concatenated
-    with the aspect mean before entering its LSTM. An empty context
-    contributes a zero final state.
+    with the aspect mean before entering its LSTM. The left LSTM reads from
+    the sentence start toward the aspect, the right one from the sentence
+    end toward it. An empty context contributes a zero final state.
     """
     n = word_matrix.data.shape[0]
     if span.end >= n:
         raise ValueError(f"span {span} outside sentence of {n} rows")
     target = aspect_mean(word_matrix[span.start : span.end + 1])
     left = append_to_rows(word_matrix[0 : span.start], target)
-    right = append_to_rows(word_matrix[span.end + 1 : n], target)
-    _, left_final = run_lstm(left, model.lstm_left, "forward")
-    _, right_final = run_lstm(right, model.lstm_right, "backward")
+    right = append_to_rows(word_matrix[n - 1 : span.end : -1], target)  # empty when the aspect ends the sentence
+    _, left_final = run_lstm(left, model.lstm_left)
+    _, right_final = run_lstm(right, model.lstm_right)
     return classify(ag.concat([left_final, right_final]), model.head)
 
 
@@ -213,7 +214,7 @@ def atae_forward(model: AtaeModel, word_matrix: Tensor, span: AspectSpan) -> tup
     if span.end >= n:
         raise ValueError(f"span {span} outside sentence of {n} rows")
     a = aspect_mean(word_matrix[span.start : span.end + 1])
-    states, _ = run_lstm(append_to_rows(word_matrix, a), model.lstm, "forward")
+    states, _ = run_lstm(append_to_rows(word_matrix, a), model.lstm)
     alpha, pooled = additive_attention(states, a, model.attention)
     return classify(pooled, model.head), alpha
 
@@ -223,8 +224,8 @@ def ian_forward(model: IanModel, word_matrix: Tensor, span: AspectSpan) -> tuple
     n = word_matrix.data.shape[0]
     if span.end >= n:
         raise ValueError(f"span {span} outside sentence of {n} rows")
-    aspect_states, _ = run_lstm(word_matrix[span.start : span.end + 1], model.lstm_aspect, "forward")
-    sentence_states, _ = run_lstm(word_matrix, model.lstm_sentence, "forward")
+    aspect_states, _ = run_lstm(word_matrix[span.start : span.end + 1], model.lstm_aspect)
+    sentence_states, _ = run_lstm(word_matrix, model.lstm_sentence)
     pooled_aspect_query = max_pool_rows(aspect_states)
     pooled_sentence_query = max_pool_rows(sentence_states)
     alpha_aspect, aspect_rep = additive_attention(aspect_states, pooled_sentence_query, model.attn_aspect)

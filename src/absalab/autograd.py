@@ -126,8 +126,9 @@ def _wrap(x, dtype=None) -> Tensor:
 def _toposort(root: Tensor) -> list[Tensor]:
     """Iterative postorder over nodes that can carry gradient.
 
-    Iterative on purpose: recurrent models chain thousands of nodes and
-    would overflow Python's recursion limit.
+    Iterative on purpose: the models' tapes are 19-49 nodes, but the
+    per-step oracles in `tests/` chain thousands of nodes, which would
+    overflow Python's recursion limit.
     """
     order: list[Tensor] = []
     visited = {id(root)}

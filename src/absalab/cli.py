@@ -70,7 +70,7 @@ def _cmd_train(args) -> int:
     result = train(config)
     for record in result.log:
         print(json.dumps(record, sort_keys=True))
-    if result.best_dev is not None and config.task != "ae":  # an AE run's dev score is span F1
+    if result.best_dev is not None and result.dev_key == "dev_macro_f1":
         print(f"best dev macro F1: {result.best_dev:.2f}")
     if result.best_checkpoint:
         print(f"checkpoint: {result.best_checkpoint}")
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-architecture", default=None)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("grid-search", help="train one run per grid point, rank by dev macro F1")
+    p = sub.add_parser("grid-search", help="train one run per grid point, rank by dev score")
     _add_config_flags(p)
     p.add_argument("--grid", action="append", required=True, metavar="KEY=V1,V2,...")
     p.set_defaults(fn=_cmd_grid_search)

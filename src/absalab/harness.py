@@ -76,7 +76,8 @@ class ExperimentConfig:
             raise ConfigError(f"l2_lambda must be non-negative, got {self.l2_lambda}")
         if not 0 <= self.dev_fraction < 1:
             raise ConfigError(f"dev_fraction must lie in [0, 1), got {self.dev_fraction}")
-        for key, low in (("epochs", 0), ("ae_hidden", 1), ("alsa_hidden", 1), ("embedding_dim", 1), ("transfer_dim", 0)):
+        for key, low in (("epochs", 0), ("ae_hidden", 1), ("alsa_hidden", 1), ("embedding_dim", 1), ("transfer_dim", 0),
+                         ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.input_mode == "transfer" and self.ae_domain is None:
@@ -221,6 +222,7 @@ class TrainResult:
     best_state: dict[str, np.ndarray]
     final_state: dict[str, np.ndarray]
     best_dev: float | None
+    dev_key: str  # the name the log and grid-search rows give the dev score
     meta: dict
     best_checkpoint: Path | None = None
     final_checkpoint: Path | None = None
@@ -353,6 +355,8 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
                 "transfer_dim": 2 * config.ae_hidden, "seed": config.seed}
     elif config.task == "multitask":
         pairs = _multitask_items(train_set)
+        if not pairs:
+            raise ConfigError("no sentences with both tagging gold and a classification sample in the training data")
         train_items, dev_items = _split_pairs(pairs, config.dev_fraction, config.seed + 1)
         dev_samples = [sample for sample, _ in dev_items]
 
@@ -365,7 +369,8 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
                 "shared_hidden": config.ae_hidden, "alsa_hidden": config.alsa_hidden,
                 "embedding_dim": vocab.dim, "seed": config.seed}
     else:
-        d_in = vocab.dim + (config.transfer_dim if config.input_mode != "plain" else 0)
+        if not train_set.samples:
+            raise ConfigError("no classification samples in the training data")
         train_items, dev_items = stratified_dev_split(train_set.samples, config.dev_fraction,
                                                       config.seed + 1)
 
@@ -375,7 +380,7 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
         dev_key, dev_score = "dev_macro_f1", lambda: _dev_macro_f1(model, dev_items, mode, embeddings)
         meta = {"task": "alsa", "architecture": config.architecture, "domain": config.domain,
                 "input_mode": config.input_mode, "transfer_dim": config.transfer_dim if config.input_mode != "plain" else 0,
-                "hidden": config.alsa_hidden, "embedding_dim": vocab.dim, "d_in": d_in,
+                "hidden": config.alsa_hidden, "embedding_dim": vocab.dim,
                 "seed": config.seed, "noise_seed": config.seed, "ae_domain": config.ae_domain}
 
     store = ParamStore()
@@ -383,7 +388,7 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
     mode = input_mode_from_meta(meta, st_source)
     log, best_state, best_dev = fit(store, train_items, loss_fn, adam, config.epochs, config.seed,
                                     dev_key, dev_score if dev_items else None)
-    result = TrainResult(store, model, log, best_state, store.state_dict(), best_dev, meta)
+    result = TrainResult(store, model, log, best_state, store.state_dict(), best_dev, dev_key, meta)
     if config.checkpoint_dir:
         outdir = Path(config.checkpoint_dir)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -423,9 +428,9 @@ def build_model_from_meta(store: ParamStore, meta: dict, embeddings: np.ndarray)
     if task == "multitask":
         return alsa_mod.MultitaskModel.create(store, embeddings, shared_hidden=meta["shared_hidden"],
                                               alsa_hidden=meta["alsa_hidden"], rng=rng)
-    if task == "alsa":
-        return alsa_mod.create_alsa_model(store, meta["architecture"], d_in=meta["d_in"],
-                                          hidden=meta["hidden"], rng=rng)
+    if task == "alsa":  # input rows are word vectors widened by transfer_dim extra columns
+        d_in = embeddings.shape[1] + meta.get("transfer_dim", 0)
+        return alsa_mod.create_alsa_model(store, meta["architecture"], d_in=d_in, hidden=meta["hidden"], rng=rng)
     raise ValueError(f"cannot rebuild model for task {task!r}")
 
 
@@ -440,12 +445,14 @@ def load_model(checkpoint_path, embeddings: np.ndarray,
     input_mode = meta.get("input_mode", "plain")
     if input_mode not in INPUT_MODES:
         raise ValueError(f"{sidecar}: unknown input_mode {input_mode!r}")
-    if input_mode != "plain":  # input_mode_from_meta reads the width of the extra rows
-        if "transfer_dim" not in meta:
-            raise ValueError(f"{sidecar}: missing field 'transfer_dim'")
-        dim = meta["transfer_dim"]
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-            raise ValueError(f"{sidecar}: transfer_dim must be a non-negative int, got {dim!r}")
+    if input_mode != "plain" and "transfer_dim" not in meta:  # the width of the extra rows
+        raise ValueError(f"{sidecar}: missing field 'transfer_dim'")
+    checked = {"transfer_dim": meta.get("transfer_dim", 0)}
+    if input_mode == "noise":
+        checked["noise_seed"] = meta.get("noise_seed", 0)
+    for key, value in checked.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ValueError(f"{sidecar}: {key} must be a non-negative int, got {value!r}")
     store = ParamStore()
     try:
         model = build_model_from_meta(store, meta, embeddings)
@@ -508,7 +515,7 @@ def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndar
 
 
 def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
-    """Train one run per Cartesian grid point; rank by dev macro F1.
+    """Train one run per Cartesian grid point; rank by dev score.
 
     Each point runs under the base run name plus its settings, e.g.
     `atae_laptop_l2_lambda=0.001_lr=0.01`, so no point overwrites another's
@@ -523,9 +530,10 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     for key in keys:
         points = [dict(p, **{key: v}) for p in points for v in grid[key]]
 
-    rows = []
+    scored = []  # (row, its dev score)
     for point in points:
         row: dict = {"params": point}
+        dev = None
         try:
             coerced = _coerce_fields(point)
             row["params"] = coerced
@@ -533,15 +541,15 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
             settings = [f"{key}={value}" for key, value in sorted(coerced.items())]
             run_config = replace(base, run_name="_".join([base.name, *settings]))
             result = train(run_config)
-            row["dev_macro_f1"] = result.best_dev
+            dev = row[result.dev_key] = result.best_dev
             row["name"] = run_config.name
             row["best_checkpoint"] = str(result.best_checkpoint) if result.best_checkpoint else None
         except Exception as err:  # recorded, not fatal to the sweep
             row["error"] = f"{type(err).__name__}: {err}"
-        rows.append(row)
+        scored.append((row, dev))
 
-    def sort_key(row: dict):
-        dev = row.get("dev_macro_f1")
+    def sort_key(item: tuple[dict, float | None]):
+        row, dev = item
         failed = 1 if ("error" in row or dev is None) else 0
         params = row["params"]
 
@@ -554,8 +562,7 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         return (failed, -(dev or 0.0), as_float("l2_lambda", config.l2_lambda),
                 as_float("lr", config.lr))
 
-    rows.sort(key=sort_key)
-    return rows
+    return [row for row, _ in sorted(scored, key=sort_key)]
 
 
 # -- cross-domain transfer ------------------------------------------------------------------

@@ -136,15 +136,27 @@ def _add_weight_grads(cell: CellParams, inputs: np.ndarray, recurrent: list[np.n
         ag._accumulate(param, g)
 
 
-def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool) -> tuple[Tensor, Tensor]:
+def run_lstm(inputs: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
+    """LSTM over the rows of `inputs`, first to last; returns (all_states, final_state).
+
+    A caller that reads a sequence right to left passes its rows reversed.
+    Empty input yields a 0 x hidden state matrix and a zero final state. The
+    two outputs are separate tape nodes over one forward run, and the output
+    the loss reads sets the float32 summation order of the gradient, so that
+    it equals a per-step tape's. A loss that reads both runs the backward
+    twice: still the gradient, summed in another order (no model reads both).
+    """
     x, w, u, b = inputs.data, cell.w.data, cell.u.data, cell.b.data
     n = x.shape[0]
-    order = list(range(n - 1, -1, -1) if reverse else range(n))
+    if n == 0:
+        return Tensor(np.zeros((0, cell.hidden_dim), dtype=x.dtype)), Tensor(np.zeros(cell.hidden_dim, dtype=x.dtype))
+    if x.shape[1] != cell.input_dim:
+        raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
     xw = np.matmul(x[:, None, None, :], w)[:, :, 0]  # row t, gate k: x[t] @ w[k]
     states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
     saved = []  # per step: h and c before it, its gates i, f, o, g and tanh(c)
     h = c = np.zeros(cell.hidden_dim, dtype=x.dtype)
-    for t in order:
+    for t in range(n):
         z = (xw[t] + np.matmul(h, u)) + b
         (i, f, o), g = ag.logistic(z[:3]), np.tanh(z[3])
         c_next = f * c + i * g
@@ -155,7 +167,7 @@ def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool) -> tuple[Tenso
 
     def backward(grad, deferred):
         dz = np.empty((4, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
-        dh, dc_next = grad[order[-1]], None
+        dh, dc_next = grad[n - 1], None
         for j in range(n - 1, -1, -1):
             h_prev, c_prev, i, f, o, g, tanh_c = saved[j]
             dc = (dh * o) * (1.0 - tanh_c * tanh_c)
@@ -166,38 +178,43 @@ def _lstm_kernel(inputs: Tensor, cell: CellParams, reverse: bool) -> tuple[Tenso
             dc_next = dc * f
             if j:  # the downstream row, then the recurrent terms in the gate order 3, 0, 1, 2
                 terms = np.matmul(u, dz[:, n - 1 - j, :, None])[..., 0]
-                dh = (((grad[order[j - 1]] + terms[3]) + terms[0]) + terms[1]) + terms[2]
+                dh = (((grad[j - 1] + terms[3]) + terms[0]) + terms[1]) + terms[2]
         if inputs.requires_grad:  # row r: w[k] @ dz[k, r] over the gates 3, 0, 1, 2, as for h above
             terms = np.matmul(w[:, None], dz[..., None])[..., 0]
             gx = ((terms[3] + terms[0]) + terms[1]) + terms[2]
-            ag._accumulate(inputs, gx if reverse else gx[::-1])
+            ag._accumulate(inputs, gx[::-1])
         h_back = np.array([s[0] for s in reversed(saved)])
-        _add_weight_grads(cell, x[order[::-1]], [h_back] * 4, dz, deferred)
+        _add_weight_grads(cell, x[::-1].copy(), [h_back] * 4, dz, deferred)
 
     def final_backward(grad):
         full = np.zeros_like(states)
-        full[order[-1]] += grad  # an add, as a row read does: -0.0 becomes +0.0
+        full[n - 1] += grad  # an add, as a row read does: -0.0 becomes +0.0
         backward(full, 2)
 
-    # A walk that enters at the last-computed state (the final state, or row
-    # 0 of a backward LSTM's states) reaches the output gate's input term of
-    # every step before any other node.
+    # A walk that enters at the final state reaches the output gate's input
+    # term of every step before any other node.
     parents = (inputs, cell.w, cell.u, cell.b)
-    return (ag._node(states, parents, lambda grad: backward(grad, 2 if reverse else None)),
-            ag._node(states[order[-1]], parents, final_backward))
+    return (ag._node(states, parents, lambda grad: backward(grad, None)),
+            ag._node(states[n - 1], parents, final_backward))
 
 
-def _gru_direction(x: np.ndarray, cell: CellParams, reverse: bool):
-    """One direction of a BiGRU: its states (aligned with the rows of `x`)
-    and the function that adds their gradient into the cell."""
+def _gru_direction(x: np.ndarray, cell: CellParams, downstream_first: bool):
+    """One direction of a BiGRU over the rows of `x`, first to last: its
+    states and the function that adds their gradient into the cell.
+
+    `downstream_first` marks the backward cell, which `run_bigru` hands the
+    rows reversed. Output row i pairs forward state i with backward state i,
+    so the walk enters the backward cell at its last step: a step's own row
+    gradient joins dh before the recurrent terms (after them in the forward
+    cell), and the update gate's input terms add from the first step.
+    """
     w, u, b = cell.w.data, cell.u.data, cell.b.data
     n = x.shape[0]
-    order = list(range(n - 1, -1, -1) if reverse else range(n))
     xw = np.matmul(x[:, None, None, :], w)[:, :, 0]  # row t, gate k: x[t] @ w[k]
     states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
     saved = []  # per step: h before it, its update and reset gates, r * h, the candidate
     h = np.zeros(cell.hidden_dim, dtype=x.dtype)
-    for t in order:
+    for t in range(n):
         z, r = ag.logistic((xw[t, :2] + np.matmul(h, u[:2])) + b[:2])
         rh = r * h
         cand = np.tanh((xw[t, 2] + rh @ u[2]) + b[2])
@@ -207,22 +224,19 @@ def _gru_direction(x: np.ndarray, cell: CellParams, reverse: bool):
 
     def backward(grad):
         dz = np.empty((3, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
-        dh = grad[order[-1]]
+        dh = grad[n - 1]
         for j in range(n - 1, -1, -1):
             h_prev, z, r, _, cand = saved[j]
             d_cand = (dh * z) * (1.0 - cand * cand)
             d_rh = u[2] @ d_cand
             d = dz[:, n - 1 - j] = (((dh * cand - dh * h_prev) * z) * (1.0 - z),
                                     ((d_rh * h_prev) * r) * (1.0 - r), d_cand)
-            if j:  # the backward direction's downstream row comes first, the forward one's last
-                dh_next = grad[order[j - 1]] + d_rh * r if reverse else d_rh * r
+            if j:
+                dh_next = grad[j - 1] + d_rh * r if downstream_first else d_rh * r
                 dh_next = ((dh_next + u[1] @ d[1]) + dh * (1.0 - z)) + u[0] @ d[0]
-                dh = dh_next if reverse else dh_next + grad[order[j - 1]]
-        # Output row i pairs forward state i with backward state i, so the
-        # walk enters the backward direction at its last-computed state and
-        # reaches the update gate's input term of every step first.
+                dh = dh_next if downstream_first else dh_next + grad[j - 1]
         h_back, rh_back = (np.array([s[i] for s in reversed(saved)]) for i in (0, 3))
-        _add_weight_grads(cell, x[order[::-1]], [h_back, h_back, rh_back], dz, 0 if reverse else None)
+        _add_weight_grads(cell, x[::-1].copy(), [h_back, h_back, rh_back], dz, 0 if downstream_first else None)
 
     return states, backward
 
@@ -243,38 +257,16 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
                             detail="input width must match both cells")
     if inputs.requires_grad:
         raise ValueError("run_bigru takes frozen input rows, got an input that requires grad")
-    forward_states, forward_backward = _gru_direction(inputs.data, fwd, reverse=False)
-    backward_states, backward_backward = _gru_direction(inputs.data, bwd, reverse=True)
+    forward_states, forward_backward = _gru_direction(inputs.data, fwd, downstream_first=False)
+    backward_states, backward_backward = _gru_direction(inputs.data[::-1].copy(), bwd, downstream_first=True)
     split = fwd.hidden_dim
 
     def backward(grad):
         forward_backward(grad[:, :split])
-        backward_backward(grad[:, split:])
+        backward_backward(grad[::-1, split:])
 
-    return ag._node(np.concatenate([forward_states, backward_states], axis=1),
+    return ag._node(np.concatenate([forward_states, backward_states[::-1]], axis=1),
                     (fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), backward)
-
-
-def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
-    """LSTM over `inputs` rows; returns (all_states, final_state).
-
-    `direction="backward"` consumes rows right to left; all_states rows stay
-    aligned with input positions. Empty input yields a 0 x hidden state
-    matrix and a zero final state. The two outputs are separate tape nodes
-    over one forward run, and the output the loss reads sets the float32
-    summation order of the gradient, so that it equals a per-step tape's.
-    A loss that reads both runs the backward twice: still the gradient,
-    summed in another order (no model reads both).
-    """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    n = inputs.data.shape[0]
-    dtype = inputs.data.dtype
-    if n == 0:
-        return Tensor(np.zeros((0, cell.hidden_dim), dtype=dtype)), Tensor(np.zeros(cell.hidden_dim, dtype=dtype))
-    if inputs.data.shape[1] != cell.input_dim:
-        raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
-    return _lstm_kernel(inputs, cell, direction == "backward")
 
 
 def additive_attention(keys: Tensor, query: Tensor, params: AttentionParams) -> tuple[Tensor, Tensor]:

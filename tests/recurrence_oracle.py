@@ -84,24 +84,19 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     return ag.stack_rows([ag.concat([f, b]) for f, b in zip(forward_states, backward_states)])
 
 
-def run_lstm(inputs: Tensor, cell: CellParams, direction: str = "forward") -> tuple[Tensor, Tensor]:
-    """LSTM over `inputs` rows; returns (all_states, final_state).
+def run_lstm(inputs: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
+    """LSTM over the rows of `inputs`, first to last; returns (all_states, final_state).
 
-    `direction="backward"` consumes rows right to left; all_states rows stay
-    aligned with input positions. Empty input yields a 0 x hidden state
-    matrix and a zero final state.
+    Empty input yields a 0 x hidden state matrix and a zero final state.
     """
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
     n = inputs.data.shape[0]
     dtype = inputs.data.dtype
     if n == 0:
         return Tensor(np.zeros((0, cell.hidden_dim), dtype=dtype)), Tensor(np.zeros(cell.hidden_dim, dtype=dtype))
     if inputs.data.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
-    reverse = direction == "backward"
-    states = _scan(cell, inputs, reverse, lstm=True)
-    return ag.stack_rows(states), states[0] if reverse else states[-1]
+    states = _scan(cell, inputs, reverse=False, lstm=True)
+    return ag.stack_rows(states), states[-1]
 
 
 def swap_in(monkeypatch) -> None:

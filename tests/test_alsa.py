@@ -1,7 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+import recurrence_oracle
 
+from absalab import alsa
 from absalab import autograd as ag
 from absalab.ae import AspectSpan
 from absalab.alsa import (
@@ -24,6 +26,7 @@ from absalab.alsa import (
 )
 from absalab.autograd import Tensor
 from absalab.crf import nll as crf_nll
+from absalab.layers import run_lstm
 from absalab.optim import ParamStore, forward_backward, grad_check
 
 
@@ -154,6 +157,35 @@ def test_tclstm_left_context_excludes_target():
     rows_b[2:4] = emb[list(ids_a)][2:4]
     again = tclstm_forward(model, Tensor(rows_b), span)
     npt.assert_allclose(base.data, again.data, atol=1e-12)
+
+
+def test_tclstm_right_lstm_reads_from_the_sentence_end(monkeypatch):
+    # the right LSTM's final state is a step loop from the last row down to
+    # the row after the aspect, and differs from the loop run the other way
+    store, model = model_of("tclstm")
+    n, span = 6, AspectSpan(1, 2)
+    words, _ = build_input(sample_of(n=n, span=(1, 2)), InputMode.plain(), embeddings_of())
+    finals = {}
+
+    def recording(inputs, cell):
+        states, final = run_lstm(inputs, cell)
+        finals[id(cell)] = final.data
+        return states, final
+
+    monkeypatch.setattr(alsa, "run_lstm", recording)
+    tclstm_forward(model, words, span)
+    target = aspect_mean(words[span.start : span.end + 1])
+    gates = recurrence_oracle._gate_blocks(model.lstm_right)
+
+    def step_loop(rows):
+        h = c = Tensor(np.zeros(model.lstm_right.hidden_dim))
+        for t in rows:
+            h, c = recurrence_oracle.lstm_step(gates, ag.concat([words[t], target]), h, c)
+        return h.data
+
+    got = finals[id(model.lstm_right)]
+    npt.assert_array_equal(got, step_loop(range(n - 1, span.end, -1)))
+    assert not np.allclose(got, step_loop(range(span.end + 1, n)))
 
 
 # -- atae --------------------------------------------------------------------------------

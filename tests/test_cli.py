@@ -147,12 +147,9 @@ def test_train_alsa_noise_variant(capsys, fixtures_dir, tmp_path):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("edit, problem", [
-    (lambda meta: meta.pop("transfer_dim"), "missing field 'transfer_dim'"),
-    (lambda meta: meta.update(transfer_dim="8"), "transfer_dim must be a non-negative int, got '8'"),
-    (lambda meta: meta.update(transfer_dim=-6), "transfer_dim must be a non-negative int, got -6"),
-])
-def test_eval_names_the_sidecar_of_a_bad_transfer_dim(capsys, fixtures_dir, tmp_path, edit, problem):
+def eval_noise_checkpoint_with_edited_sidecar(capsys, fixtures_dir, tmp_path, edit):
+    """Train a noise checkpoint, apply `edit` to its sidecar's fields, then
+    evaluate it; returns (sidecar path, exit code, stderr)."""
     code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "noise",
                              "--transfer-dim", "6", *base_args(fixtures_dir, tmp_path))
     assert code == 0, err
@@ -162,8 +159,33 @@ def test_eval_names_the_sidecar_of_a_bad_transfer_dim(capsys, fixtures_dir, tmp_
     edit(meta)
     sidecar.write_text(json.dumps(meta), encoding="utf-8")
     code, _, err = run_cli(capsys, "eval", "--checkpoint", ckpt, *base_args(fixtures_dir, tmp_path))
+    return sidecar, code, err
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda meta: meta.pop("transfer_dim"), "missing field 'transfer_dim'"),
+    (lambda meta: meta.update(transfer_dim="8"), "transfer_dim must be a non-negative int, got '8'"),
+    (lambda meta: meta.update(transfer_dim=-6), "transfer_dim must be a non-negative int, got -6"),
+])
+def test_eval_names_the_sidecar_of_a_bad_transfer_dim(capsys, fixtures_dir, tmp_path, edit, problem):
+    sidecar, code, err = eval_noise_checkpoint_with_edited_sidecar(capsys, fixtures_dir, tmp_path, edit)
     assert code == 1
     assert json.loads(err.strip().splitlines()[-1])["error"] == f"ValueError: {sidecar}: {problem}"
+
+
+@pytest.mark.parametrize("noise_seed", ["7", True, -1])
+def test_eval_names_the_sidecar_of_a_bad_noise_seed(capsys, fixtures_dir, tmp_path, noise_seed):
+    sidecar, code, err = eval_noise_checkpoint_with_edited_sidecar(
+        capsys, fixtures_dir, tmp_path, lambda meta: meta.update(noise_seed=noise_seed))
+    assert code == 1
+    problem = f"noise_seed must be a non-negative int, got {noise_seed!r}"
+    assert json.loads(err.strip().splitlines()[-1])["error"] == f"ValueError: {sidecar}: {problem}"
+
+
+def test_eval_reads_an_absent_noise_seed_as_zero(capsys, fixtures_dir, tmp_path):
+    _, code, err = eval_noise_checkpoint_with_edited_sidecar(
+        capsys, fixtures_dir, tmp_path, lambda meta: meta.pop("noise_seed"))
+    assert code == 0, err
 
 
 def test_train_multitask_via_task_flag(capsys, fixtures_dir, tmp_path):

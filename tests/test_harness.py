@@ -93,7 +93,7 @@ def test_config_rejects_input_modes_a_task_ignores(task, input_mode):
 
 
 @pytest.mark.parametrize("key,value,low", [("epochs", -1, 0), ("ae_hidden", 0, 1), ("alsa_hidden", 0, 1),
-                                           ("embedding_dim", 0, 1), ("transfer_dim", -3, 0)])
+                                           ("embedding_dim", 0, 1), ("transfer_dim", -3, 0), ("seed", -1, 0)])
 def test_config_rejects_out_of_range_sizes(key, value, low):
     with pytest.raises(ConfigError, match=f"{key} must be at least {low}, got {value}"):
         ExperimentConfig(**{key: value})
@@ -168,6 +168,22 @@ def test_train_missing_inputs_fail_before_training(fixtures_dir, tmp_path):
     config2 = tiny_config(fixtures_dir, tmp_path, input_mode="transfer")
     with pytest.raises(ConfigError, match="st_cache_path"):
         train(config2)
+
+
+@pytest.mark.parametrize("task, problem", [
+    ("alsa", "no classification samples in the training data"),
+    ("multitask", "no sentences with both tagging gold and a classification sample in the training data"),
+])
+def test_train_refuses_training_data_without_samples(fixtures_dir, tmp_path, task, problem):
+    # aspect-free sentences have tagging gold (all O) but no classification sample
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "laptop_train.xml").write_text(
+        '<sentences><sentence id="a1"><text>Great laptop overall.</text></sentence>'
+        '<sentence id="a2"><text>The price was okay.</text></sentence></sentences>', encoding="utf-8")
+    with pytest.raises(ConfigError, match=problem):
+        train(tiny_config(data, tmp_path, task=task))
+    assert not (tmp_path / "ckpt").exists()  # no untrained checkpoint
 
 
 def test_load_domain_without_test_split(fixtures_dir, tmp_path):
@@ -330,7 +346,7 @@ def test_load_model_rejects_checkpoint_missing_a_parameter(tmp_path):
 
 
 SIDECAR_FAULTS = {
-    "missing-field": (lambda meta: meta.pop("d_in"), "missing field 'd_in'"),
+    "missing-field": (lambda meta: meta.pop("hidden"), "missing field 'hidden'"),
     "mistyped-field": (lambda meta: meta.update(hidden="3"), "'str' object cannot be interpreted as an integer"),
     "unknown-task": (lambda meta: meta.update(task="tagging"), "cannot rebuild model for task 'tagging'"),
     "unknown-input-mode": (lambda meta: meta.update(input_mode="nois"), "unknown input_mode 'nois'"),
@@ -350,6 +366,16 @@ def test_load_model_sidecar_errors_name_the_sidecar(tmp_path, fault):
     save_checkpoint(path, store.state_dict(), meta)
     with pytest.raises(ValueError, match=re.escape(f"{path}.meta.json: {problem}")):
         load_model(path, np.zeros((2, 4), dtype=np.float32))
+
+
+def test_alsa_checkpoint_takes_its_input_width_from_the_vocabulary(fixtures_dir, tmp_path):
+    # trained on 8-wide word vectors, loaded against 16-wide ones
+    result = train(tiny_config(fixtures_dir, tmp_path, architecture="ian", epochs=0))
+    assert "d_in" not in result.meta
+    path = result.best_checkpoint
+    load_model(path, np.zeros((2, 8), dtype=np.float32))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: shape mismatch for 'alsa/lstm_aspect/w'")):
+        load_model(path, np.zeros((2, 16), dtype=np.float32))
 
 
 CELL = ("w", "u", "b")
@@ -446,6 +472,16 @@ def test_grid_records_failures_without_aborting(fixtures_dir, tmp_path):
     assert rows[0].get("dev_macro_f1") is not None  # healthy row ranks first
 
 
+def test_grid_rows_name_the_runs_dev_metric(fixtures_dir, tmp_path):
+    config = tiny_config(fixtures_dir, tmp_path / "grid5", task="ae", dev_fraction=0.3, epochs=1)
+    rows = grid_search(config, {"lr": [0.01, 0.05]})
+    for row in rows:
+        log_path = Path(row["best_checkpoint"]).with_name(f"{row['name']}.log.jsonl")
+        log = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+        assert "dev_macro_f1" not in row
+        assert row["dev_span_f1"] == max(record["dev_span_f1"] for record in log)
+
+
 def test_grid_requires_nonempty_grid(fixtures_dir, tmp_path):
     with pytest.raises(ConfigError):
         grid_search(tiny_config(fixtures_dir, tmp_path), {})
@@ -469,7 +505,7 @@ def test_transfer_pipeline_in_memory(fixtures_dir, tmp_path):
     t_config = tiny_config(fixtures_dir, tmp_path, input_mode="transfer", transfer_dim=6, epochs=1)
     result = train(t_config, st_source=cache)
     assert result.meta["input_mode"] == "transfer"
-    assert result.meta["d_in"] == 14  # 8 + 6
+    assert result.model.lstm.input_dim == 2 * 14  # word and aspect rows, each 8 + 6 wide
 
 
 def test_cross_domain_run_all_twelve_cells(fixtures_dir, tmp_path):

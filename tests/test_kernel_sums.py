@@ -87,9 +87,11 @@ def weighted_sum(states):
     return (states * Tensor(spread(np.random.default_rng(7), *states.shape))).sum()
 
 
-def lstm_outputs(run_lstm, x, h, direction, read_final):
-    inputs, cell = Tensor(x, requires_grad=True), make_cell(1, x.shape[1], h, 4)
-    states, final = run_lstm(inputs, cell, direction)
+def lstm_outputs(run_lstm, x, h, reading, read_final):
+    """`reading="backward"` hands the LSTM a reversed view of `x`'s rows."""
+    rows = x[::-1] if reading == "backward" else x
+    inputs, cell = Tensor(rows, requires_grad=True), make_cell(1, x.shape[1], h, 4)
+    states, final = run_lstm(inputs, cell)
     read = final if read_final else states
     weighted_sum(read).backward()
     return {"states": read.data, "w": cell.w.grad, "u": cell.u.grad, "b": cell.b.grad, "inputs": inputs.grad}
@@ -110,16 +112,16 @@ KERNEL_SHAPES = ([(n, d, h) for n in (1, 2, 8, 20) for d, h in WIDTHS]
                  + [(130, 600, 128), (8, 7, 200), (20, 600, 200)])
 
 
-# Every row or the final state, in either direction: the models read every
-# row of a forward LSTM (ATAE, IAN, the multitask head) and the final state
-# of either direction (TC-LSTM).
+# Every row or the final state, of the rows as given or a reversed view: the
+# models read every row (ATAE, IAN, the multitask head) and the final state
+# (TC-LSTM, whose right context is the sentence read from its end).
 @pytest.mark.parametrize("n, d, h", KERNEL_SHAPES)
-@pytest.mark.parametrize("direction, read_final", [("forward", False), ("forward", True), ("backward", True),
-                                                   ("backward", False)])
-def test_lstm_kernel_matches_the_per_step_tape(n, d, h, direction, read_final):
+@pytest.mark.parametrize("reading, read_final", [("forward", False), ("forward", True), ("backward", True),
+                                                 ("backward", False)])
+def test_lstm_kernel_matches_the_per_step_tape(n, d, h, reading, read_final):
     x = spread(np.random.default_rng(n + d), n, d)
-    got = lstm_outputs(layers.run_lstm, x, h, direction, read_final)
-    want = lstm_outputs(recurrence_oracle.run_lstm, x, h, direction, read_final)
+    got = lstm_outputs(layers.run_lstm, x, h, reading, read_final)
+    want = lstm_outputs(recurrence_oracle.run_lstm, x, h, reading, read_final)
     for name in want:
         assert np.array_equal(got[name], want[name]), name
 
