@@ -15,14 +15,17 @@ Layout (all integers little-endian):
 Model checkpoints pair the archive with a ``<path>.meta.json`` sidecar
 describing how to rebuild the model (architecture, dimensions, input
 mode). Transfer-row caches reuse the same archive with one entry per
-sentence id.
+sentence id. Archives, sidecars and training logs are written whole or not
+at all: into a temporary file beside the target, then moved onto it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping
 
@@ -32,9 +35,23 @@ MAGIC = b"ABSA-CKPT\x00"
 VERSION = 1
 
 
-def save_archive(path, entries: Mapping[str, np.ndarray]) -> None:
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside `path` that replaces `path` on a clean
+    exit; on an error it is removed, and `path` keeps what it held."""
     path = Path(path)
-    with open(path, "wb") as fh:
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def save_archive(path, entries: Mapping[str, np.ndarray]) -> None:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<B", VERSION))
         fh.write(struct.pack("<I", len(entries)))
@@ -101,8 +118,8 @@ def load_archive(path) -> dict[str, np.ndarray]:
 def save_checkpoint(path, values: Mapping[str, np.ndarray], meta: dict) -> None:
     """Archive plus a JSON sidecar describing the model it belongs to."""
     save_archive(path, values)
-    sidecar = Path(str(path) + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(str(path) + ".meta.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

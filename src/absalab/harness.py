@@ -21,7 +21,7 @@ from . import ae as ae_mod
 from . import alsa as alsa_mod
 from . import crf as crf_mod
 from .alsa import AlsaSample, InputMode
-from .checkpoint import load_archive, load_checkpoint, save_checkpoint
+from .checkpoint import atomic_write, load_archive, load_checkpoint, save_checkpoint
 from .data import Dataset, Vocabulary, build_dataset, collect_tokens, load_embeddings, read_semeval, split_sa_ma
 from .metrics import MetricsReport, macro_f1
 from .optim import AdamConfig, ParamStore, adam_step, forward_backward
@@ -397,7 +397,7 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
         save_checkpoint(result.best_checkpoint, result.best_state, meta)
         save_checkpoint(result.final_checkpoint, result.final_state, meta)
         result.log_path = outdir / f"{config.name}.log.jsonl"
-        with open(result.log_path, "w", encoding="utf-8") as fh:
+        with atomic_write(result.log_path) as fh:
             for record in log:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return result

@@ -109,7 +109,10 @@ def embed(token_ids, embedding_matrix) -> Tensor:
 # rounded product into `out` row by row. Not exact: one GEMV over the
 # concatenated gates, a GEMM over the steps, `X.T @ dZ`, or einsum into a
 # 1 x 1 output (a dot kernel with several accumulators) or given a reversed
-# view and `out=` (another row order).
+# view and `out=` (another row order). The BiGRU stacks its two directions'
+# per-step GEMVs in one matmul, which keeps the bits; so would one einsum
+# over both directions' weight gradients, but it is slower than one call per
+# direction, and stacking the two `w` copies more than it saves at n <= 3.
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -126,12 +129,14 @@ def _add_weight_grads(cell: CellParams, inputs: np.ndarray, recurrent: list[np.n
     `recurrent[k]` and `dz[k]` is the r-th step back from the last computed:
     its input, gate k's recurrent vector and pre-activation gradient, added in
     that order; gate `deferred`'s input-weight terms add from the first step."""
-    gw, gu, gb = (np.empty_like(p.data) for p in (cell.w, cell.u, cell.b))
-    for k in range(len(gb)):
+    gw, gu = np.empty_like(cell.w.data), np.empty_like(cell.u.data)
+    for k in range(len(gw)):
         rows, grads = (inputs[::-1].copy(), dz[k][::-1].copy()) if k == deferred else (inputs, dz[k])
         _outer_sum(rows, grads, gw[k])
         _outer_sum(recurrent[k], dz[k], gu[k])
-        gb[k] = np.add.accumulate(np.insert(dz[k], 0, 0, axis=0), axis=0)[-1]  # row by row from 0
+    # Row by row from the first; that sum differs from one begun at 0 only
+    # in a zero's sign, and adding 0.0 gives the +0.0 that one begun at 0 ends on.
+    gb = np.add.accumulate(dz, axis=1)[:, -1] + 0.0
     for param, g in ((cell.w, gw), (cell.u, gu), (cell.b, gb)):
         ag._accumulate(param, g)
 
@@ -198,49 +203,6 @@ def run_lstm(inputs: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
             ag._node(states[n - 1], parents, final_backward))
 
 
-def _gru_direction(x: np.ndarray, cell: CellParams, downstream_first: bool):
-    """One direction of a BiGRU over the rows of `x`, first to last: its
-    states and the function that adds their gradient into the cell.
-
-    `downstream_first` marks the backward cell, which `run_bigru` hands the
-    rows reversed. Output row i pairs forward state i with backward state i,
-    so the walk enters the backward cell at its last step: a step's own row
-    gradient joins dh before the recurrent terms (after them in the forward
-    cell), and the update gate's input terms add from the first step.
-    """
-    w, u, b = cell.w.data, cell.u.data, cell.b.data
-    n = x.shape[0]
-    xw = np.matmul(x[:, None, None, :], w)[:, :, 0]  # row t, gate k: x[t] @ w[k]
-    states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
-    saved = []  # per step: h before it, its update and reset gates, r * h, the candidate
-    h = np.zeros(cell.hidden_dim, dtype=x.dtype)
-    for t in range(n):
-        z, r = ag.logistic((xw[t, :2] + np.matmul(h, u[:2])) + b[:2])
-        rh = r * h
-        cand = np.tanh((xw[t, 2] + rh @ u[2]) + b[2])
-        saved.append((h, z, r, rh, cand))
-        h = (1.0 - z) * h + z * cand
-        states[t] = h
-
-    def backward(grad):
-        dz = np.empty((3, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
-        dh = grad[n - 1]
-        for j in range(n - 1, -1, -1):
-            h_prev, z, r, _, cand = saved[j]
-            d_cand = (dh * z) * (1.0 - cand * cand)
-            d_rh = u[2] @ d_cand
-            d = dz[:, n - 1 - j] = (((dh * cand - dh * h_prev) * z) * (1.0 - z),
-                                    ((d_rh * h_prev) * r) * (1.0 - r), d_cand)
-            if j:
-                dh_next = grad[j - 1] + d_rh * r if downstream_first else d_rh * r
-                dh_next = ((dh_next + u[1] @ d[1]) + dh * (1.0 - z)) + u[0] @ d[0]
-                dh = dh_next if downstream_first else dh_next + grad[j - 1]
-        h_back, rh_back = (np.array([s[i] for s in reversed(saved)]) for i in (0, 3))
-        _add_weight_grads(cell, x[::-1].copy(), [h_back, h_back, rh_back], dz, 0 if downstream_first else None)
-
-    return states, backward
-
-
 def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     """Bidirectional GRU over `inputs` (n x d), zero initial states.
 
@@ -249,23 +211,69 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     output width is exactly 2 * hidden_dim. The input rows are frozen
     (embedding rows): an input that requires grad is an error.
     """
-    n = inputs.data.shape[0]
+    x = inputs.data
+    n, h = x.shape[0], fwd.hidden_dim
     if n == 0:
         raise ValueError("run_bigru requires at least one input row")
-    if inputs.data.shape[1] != fwd.input_dim or inputs.data.shape[1] != bwd.input_dim:
+    if x.shape[1] != fwd.input_dim or x.shape[1] != bwd.input_dim:
         raise ag.ShapeError("run_bigru", inputs.shape, (fwd.input_dim,), (bwd.input_dim,),
                             detail="input width must match both cells")
+    if bwd.hidden_dim != h:
+        raise ag.ShapeError("run_bigru", (h,), (bwd.hidden_dim,), detail="forward and backward hidden_dim must be equal")
     if inputs.requires_grad:
         raise ValueError("run_bigru takes frozen input rows, got an input that requires grad")
-    forward_states, forward_backward = _gru_direction(inputs.data, fwd, downstream_first=False)
-    backward_states, backward_backward = _gru_direction(inputs.data[::-1].copy(), bwd, downstream_first=True)
-    split = fwd.hidden_dim
+    # One loop steps both directions on arrays stacked gate by direction
+    # (forward, backward), each state a (1, h) row; the backward cell reads
+    # the rows reversed.
+    x_rev = x[::-1].copy()
+    xw = np.stack([np.matmul(rows[:, None, None, :], cell.w.data) for rows, cell in ((x, fwd), (x_rev, bwd))], axis=2)
+    u = np.stack([fwd.u.data, bwd.u.data], axis=1)
+    b = np.stack([fwd.b.data, bwd.b.data], axis=1)[:, :, None]
+    xw_zr, xw_cand, u_zr, u_cand, b_zr, b_cand = xw[:, :2], xw[:, 2], u[:2], u[2], b[:2], b[2]
+    states = np.zeros((n + 1, 2, 1, h), dtype=x.dtype)  # row t + 1: both states after step t
+    rh = np.empty((n, 2, 1, h), dtype=x.dtype)
+    saved_zr, saved_cand = [], []
+    for t in range(n):
+        prev = states[t]
+        z, r = zr = ag.logistic((xw_zr[t] + np.matmul(prev, u_zr)) + b_zr)
+        cand = np.tanh((xw_cand[t] + np.matmul(np.multiply(r, prev, out=rh[t]), u_cand)) + b_cand)
+        np.add((1.0 - z) * prev, z * cand, out=states[t + 1])
+        saved_zr.append(zr)
+        saved_cand.append(cand)
 
     def backward(grad):
-        forward_backward(grad[:, :split])
-        backward_backward(grad[::-1, split:])
+        g = grad.reshape(n, 2, 1, h)
+        # Output row i pairs forward state i with backward state i, so the walk
+        # enters the backward cell at its last step: there a step's own row
+        # gradient joins dh before the recurrent terms (after them in the
+        # forward cell), and the update gate's input terms add from the first
+        # step. Padded with -0.0 (-0.0 + v and v + -0.0 are v, bit for bit),
+        # both orders are one sum.
+        pre, post = np.full((2, n, 2, 1, h), -0.0, dtype=g.dtype)
+        pre[:, 1], post[:, 0] = g[::-1, 1], g[:, 0]
+        zr_all, cand_all = np.array(saved_zr), np.array(saved_cand)
+        one_minus, d_tanh = 1.0 - zr_all, 1.0 - cand_all * cand_all
+        u_t = u.transpose(0, 1, 3, 2)  # row @ u[k].T makes the GEMV of u[k] @ column
+        u_t_zr, u_t_cand = u_t[:2], u_t[2]
+        dz = np.empty((n, 3, 2, 1, h), dtype=x.dtype)  # steps before the last-computed, gate, direction
+        dh = np.stack([g[n - 1, 0], g[0, 1]])
+        for j in range(n - 1, -1, -1):
+            d, prev, cand = dz[n - 1 - j], states[j], cand_all[j]
+            (z, r), (one_minus_z, one_minus_r) = zr_all[j], one_minus[j]
+            d_rh = np.matmul(np.multiply(dh * z, d_tanh[j], out=d[2]), u_t_cand)
+            np.multiply((dh * cand - dh * prev) * z, one_minus_z, out=d[0])
+            np.multiply((d_rh * prev) * r, one_minus_r, out=d[1])
+            if j:
+                d_z, d_r = np.matmul(d[:2], u_t_zr)
+                dh = ((((pre[j - 1] + d_rh * r) + d_r) + dh * one_minus_z) + d_z) + post[j - 1]
+        # The backward cell's sums go first, as the per-step tape's walk adds
+        # them; the order shows only when one cell is both directions.
+        for c, cell, rows, deferred in ((1, bwd, np.ascontiguousarray(x), 0), (0, fwd, x_rev, None)):
+            h_back = states[n - 1::-1, c, 0].copy()
+            _add_weight_grads(cell, rows, [h_back, h_back, rh[::-1, c, 0].copy()],
+                              np.ascontiguousarray(dz[:, :, c, 0].transpose(1, 0, 2)), deferred)
 
-    return ag._node(np.concatenate([forward_states, backward_states[::-1]], axis=1),
+    return ag._node(np.concatenate([states[1:, 0, 0], states[:0:-1, 1, 0]], axis=1),
                     (fwd.w, fwd.u, fwd.b, bwd.w, bwd.u, bwd.b), backward)
 
 

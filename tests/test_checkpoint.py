@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from absalab.checkpoint import MAGIC, load_archive, load_checkpoint, save_archive, save_checkpoint
+from absalab.checkpoint import MAGIC, atomic_write, load_archive, load_checkpoint, save_archive, save_checkpoint
 
 
 def test_round_trip_preserves_values_and_order(tmp_path):
@@ -105,6 +105,29 @@ def test_sentence_keyed_cache(tmp_path):
     assert set(loaded) == set(cache)
     for sid in cache:
         npt.assert_array_equal(loaded[sid], cache[sid])
+
+
+def test_failed_save_keeps_the_previous_archive(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_archive(path, {"w": np.ones(1, dtype=np.float32)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="entry name too long"):  # raised after the header is written
+        save_archive(path, {"w": np.zeros(1, dtype=np.float32), "x" * 70_000: np.zeros(1, dtype=np.float32)})
+    assert path.read_bytes() == before
+    npt.assert_array_equal(load_archive(path)["w"], np.ones(1, dtype=np.float32))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_atomic_write_replaces_only_on_a_clean_exit(tmp_path):
+    path = tmp_path / "run.log.jsonl"
+    with atomic_write(path) as fh:
+        fh.write("first\n")
+    with pytest.raises(RuntimeError):
+        with atomic_write(path) as fh:
+            fh.write("second, cut short")
+            raise RuntimeError("interrupted")
+    assert path.read_text(encoding="utf-8") == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.log.jsonl"]
 
 
 def test_checkpoint_sidecar_round_trip(tmp_path):

@@ -16,6 +16,7 @@ from pathlib import Path
 import crf_oracle
 import numpy as np
 import pytest
+from bitwise import assert_same_bits
 
 from absalab import crf, harness
 from absalab.autograd import ShapeError, Tensor
@@ -73,15 +74,6 @@ def run(loss, arrays, gold, grad_of=("emissions", *TABLES), preset=None):
         out.backward()
     grads = {name: (None if t.grad is None else t.grad.copy()) for name, t in tensors.items()}
     return out.data.copy(), out.requires_grad, grads
-
-
-def assert_same_bits(got, want, what):
-    if want is None:
-        assert got is None, f"{what}: a gradient where the tape made none"
-        return
-    assert got is not None, f"{what}: no gradient where the tape made one"
-    assert got.dtype == want.dtype and got.shape == want.shape, f"{what}: {got.dtype}{got.shape} vs {want.dtype}{want.shape}"
-    assert got.tobytes() == want.tobytes(), f"{what}: bits differ, max abs diff {np.max(np.abs(got - want))}"
 
 
 def assert_matches_oracle(monkeypatch, loss, arrays, gold, **kwargs):

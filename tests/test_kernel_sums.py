@@ -12,7 +12,9 @@ with a fused multiply-add differs in its last bits.
 import numpy as np
 import pytest
 import recurrence_oracle
+from bitwise import assert_same_bits
 
+from absalab import autograd as ag
 from absalab import layers
 from absalab.autograd import Tensor
 from absalab.layers import CellParams
@@ -63,22 +65,29 @@ def loop_weight_grads(x, order, recurrent, dz, deferred):
 @pytest.mark.parametrize("d, h", WIDTHS)
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("gates, deferred", [(4, None), (4, 2), (3, 0)])
-def test_weight_grads_match_the_step_loop(n, d, h, reverse, gates, deferred):
+@pytest.mark.parametrize("signed_zeros", [False, True])
+def test_weight_grads_match_the_step_loop(n, d, h, reverse, gates, deferred, signed_zeros):
     rng = np.random.default_rng(n * 1000 + d * 10 + h + gates)
     order = list(range(n - 1, -1, -1) if reverse else range(n))
     x, dz = spread(rng, n, d), spread(rng, gates, n, h)
     recurrent = [spread(rng, n, h) for _ in range(gates)]
     cell = CellParams(d, h, *(Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
                               for shape in ((gates, d, h), (gates, h, h), (gates, h))))
+    if signed_zeros:  # a column of -0.0 terms, added onto gradients that hold -0.0
+        dz[:, :, 0] = -0.0
+        for param in (cell.w, cell.u, cell.b):
+            param.grad = np.full_like(param.data, -0.0)
     layers._add_weight_grads(cell, x[order[::-1]], recurrent, dz, deferred)
-    for param, want in zip((cell.w, cell.u, cell.b), loop_weight_grads(x, order, recurrent, dz, deferred)):
-        assert np.array_equal(param.grad, want)
+    for name, want in zip("wub", loop_weight_grads(x, order, recurrent, dz, deferred)):
+        if signed_zeros:
+            want = np.float32(-0.0) + want
+        assert_same_bits(getattr(cell, name).grad, want, name)
 
 
-def make_cell(seed, d, h, gates):
+def make_cell(seed, d, h, gates, dtype=np.float32):
     """A cell with uniform weights scaled to its widths, so few gates saturate."""
     rng = np.random.default_rng(seed)
-    return CellParams(d, h, *(Tensor(rng.uniform(-1, 1, size=shape).astype(np.float32) / np.float32(np.sqrt(d + h)),
+    return CellParams(d, h, *(Tensor(rng.uniform(-1, 1, size=shape).astype(dtype) / dtype(np.sqrt(d + h)),
                                      requires_grad=True) for shape in ((gates, d, h), (gates, h, h), (gates, h))))
 
 
@@ -97,12 +106,30 @@ def lstm_outputs(run_lstm, x, h, reading, read_final):
     return {"states": read.data, "w": cell.w.grad, "u": cell.u.grad, "b": cell.b.grad, "inputs": inputs.grad}
 
 
-def bigru_outputs(run_bigru, x, h):
-    fwd, bwd = make_cell(1, x.shape[1], h, 3), make_cell(2, x.shape[1], h, 3)
+def backward_from(out, grad):
+    """The tape's walk from `out`, entered with `grad` instead of a scalar loss's 1."""
+    out.grad = grad
+    for node in reversed(ag._toposort(out)):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
+def bigru_outputs(run_bigru, x, h, shared=False, upstream=None):
+    """`shared` passes one cell as both directions, its gradients already
+    holding values, so the order of its three-term sums shows; `upstream` is
+    the states' gradient, or None for `weighted_sum`'s."""
+    fwd = make_cell(1, x.shape[1], h, 3, x.dtype.type)
+    bwd = fwd if shared else make_cell(2, x.shape[1], h, 3, x.dtype.type)
+    if shared:
+        for param in (fwd.w, fwd.u, fwd.b):
+            param.grad = spread(np.random.default_rng(5), *param.shape).astype(x.dtype)
     states = run_bigru(Tensor(x), fwd, bwd)
-    weighted_sum(states).backward()
-    grads = {f"{side}/{name}": getattr(cell, name).grad for side, cell in (("fwd", fwd), ("bwd", bwd))
-             for name in ("w", "u", "b")}
+    if upstream is None:
+        weighted_sum(states).backward()
+    else:
+        backward_from(states, upstream)
+    cells = (("fwd", fwd),) if shared else (("fwd", fwd), ("bwd", bwd))
+    grads = {f"{side}/{name}": getattr(cell, name).grad for side, cell in cells for name in ("w", "u", "b")}
     return {"states": states.data, **grads}
 
 
@@ -123,7 +150,7 @@ def test_lstm_kernel_matches_the_per_step_tape(n, d, h, reading, read_final):
     got = lstm_outputs(layers.run_lstm, x, h, reading, read_final)
     want = lstm_outputs(recurrence_oracle.run_lstm, x, h, reading, read_final)
     for name in want:
-        assert np.array_equal(got[name], want[name]), name
+        assert_same_bits(got[name], want[name], name)
 
 
 @pytest.mark.parametrize("n, d, h", KERNEL_SHAPES)
@@ -131,4 +158,27 @@ def test_bigru_kernel_matches_the_per_step_tape(n, d, h):
     x = spread(np.random.default_rng(n + d), n, d)
     got, want = bigru_outputs(layers.run_bigru, x, h), bigru_outputs(recurrence_oracle.run_bigru, x, h)
     for name in want:
-        assert np.array_equal(got[name], want[name]), name
+        assert_same_bits(got[name], want[name], name)
+
+
+def signed_zero_upstream(rng, n, h):
+    """A states gradient with whole zero rows, a whole -0.0 last row (where
+    the forward cell's walk starts) and -0.0 in every other entry of some rows."""
+    grad = spread(rng, n, 2 * h)
+    grad[::3] = 0.0
+    grad[1::3, ::2] = -0.0
+    grad[n - 1] = -0.0
+    return grad
+
+
+@pytest.mark.parametrize("n, d, h", [(1, 7, 5), (2, 7, 5), (8, 7, 5), (20, 300, 32), (20, 300, 1), (3, 64, 200)])
+@pytest.mark.parametrize("case", ["one cell both ways", "float64", "signed-zero upstream"])
+def test_bigru_kernel_cases_match_the_per_step_tape(n, d, h, case):
+    rng = np.random.default_rng(n + d + h)
+    x = spread(rng, n, d).astype(np.float64 if case == "float64" else np.float32)
+    kwargs = {"shared": case == "one cell both ways",
+              "upstream": signed_zero_upstream(rng, n, h) if case == "signed-zero upstream" else None}
+    got = bigru_outputs(layers.run_bigru, x, h, **kwargs)
+    want = bigru_outputs(recurrence_oracle.run_bigru, x, h, **kwargs)
+    for name in want:
+        assert_same_bits(got[name], want[name], name)

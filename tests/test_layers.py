@@ -115,6 +115,15 @@ def test_bigru_rejects_empty_input():
         run_bigru(Tensor(np.zeros((0, 3))), fwd, bwd)
 
 
+def test_bigru_rejects_cells_of_unequal_width():
+    # the output is 2 * hidden_dim wide, and the directions step as one stack
+    store = ParamStore()
+    fwd = make_gru(store, "f", 3, 4)
+    bwd = make_gru(store, "b", 3, 5)
+    with pytest.raises(ag.ShapeError, match=r"\(4,\) and \(5,\).*hidden_dim"):
+        run_bigru(Tensor(np.zeros((2, 3))), fwd, bwd)
+
+
 def test_bigru_rejects_input_that_requires_grad():
     # its input is frozen embedding rows; a gradient for it would be dropped
     store = ParamStore()

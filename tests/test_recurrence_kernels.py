@@ -9,6 +9,7 @@ must be equal after every step.
 import numpy as np
 import pytest
 import recurrence_oracle
+from bitwise import assert_same_bits
 
 from absalab.ae import AeModel, AspectSpan, ae_loss
 from absalab.alsa import AlsaSample, InputMode, MultitaskModel, alsa_loss, create_alsa_model, multitask_loss
@@ -87,4 +88,4 @@ def test_kernels_train_bit_identically_to_the_per_step_tape(case, monkeypatch):
     for i, (got, want) in enumerate(zip(kernels, tape)):
         what = f"{'gradients' if i % 2 == 0 else 'parameters'} of step {i // 2}"
         for name in want:
-            assert np.array_equal(got[name], want[name]), f"{case}: {name} differs in the {what}"
+            assert_same_bits(got[name], want[name], f"{case}: {name} in the {what}")
