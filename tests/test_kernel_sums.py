@@ -61,12 +61,8 @@ def loop_weight_grads(x, order, recurrent, dz, deferred):
     return gw, gu, gb
 
 
-@pytest.mark.parametrize("n", LENGTHS)
-@pytest.mark.parametrize("d, h", WIDTHS)
-@pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("gates, deferred", [(4, None), (4, 2), (3, 0)])
-@pytest.mark.parametrize("signed_zeros", [False, True])
-def test_weight_grads_match_the_step_loop(n, d, h, reverse, gates, deferred, signed_zeros):
+def check_weight_grads(n, d, h, reverse, gates, deferred, signed_zeros):
+    """`_add_weight_grads` against the term-by-term sums, byte for byte."""
     rng = np.random.default_rng(n * 1000 + d * 10 + h + gates)
     order = list(range(n - 1, -1, -1) if reverse else range(n))
     x, dz = spread(rng, n, d), spread(rng, gates, n, h)
@@ -82,6 +78,27 @@ def test_weight_grads_match_the_step_loop(n, d, h, reverse, gates, deferred, sig
         if signed_zeros:
             want = np.float32(-0.0) + want
         assert_same_bits(getattr(cell, name).grad, want, name)
+
+
+STEP_LOOP_CASES = [pytest.mark.parametrize("n", LENGTHS), pytest.mark.parametrize("d, h", WIDTHS),
+                   pytest.mark.parametrize("reverse", [False, True]),
+                   pytest.mark.parametrize("gates, deferred", [(4, None), (4, 2), (3, 0)])]
+
+
+def step_loop_cases(test):
+    for mark in reversed(STEP_LOOP_CASES):  # applied as stacked decorators would be, last first
+        test = mark(test)
+    return test
+
+
+@step_loop_cases
+def test_weight_grads_match_the_step_loop(n, d, h, reverse, gates, deferred):
+    check_weight_grads(n, d, h, reverse, gates, deferred, signed_zeros=False)
+
+
+@step_loop_cases
+def test_weight_grads_keep_signed_zeros(n, d, h, reverse, gates, deferred):
+    check_weight_grads(n, d, h, reverse, gates, deferred, signed_zeros=True)
 
 
 def make_cell(seed, d, h, gates, dtype=np.float32):
