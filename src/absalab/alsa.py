@@ -201,11 +201,10 @@ def tclstm_forward(model: TcLstmModel, word_matrix: Tensor, span: AspectSpan) ->
     if span.end >= n:
         raise ValueError(f"span {span} outside sentence of {n} rows")
     target = aspect_mean(word_matrix[span.start : span.end + 1])
-    left = append_to_rows(word_matrix[0 : span.start], target)
-    right = append_to_rows(word_matrix[n - 1 : span.end : -1], target)  # empty when the aspect ends the sentence
-    _, left_final = run_lstm(left, model.lstm_left)
-    _, right_final = run_lstm(right, model.lstm_right)
-    return classify(ag.concat([left_final, right_final]), model.head)
+    contexts = ((word_matrix[: span.start], model.lstm_left), (word_matrix[n - 1 : span.end : -1], model.lstm_right))
+    finals = [run_lstm(append_to_rows(rows, target), cell)[-1] if rows.data.shape[0]
+              else Tensor(np.zeros(cell.hidden_dim, dtype=rows.data.dtype)) for rows, cell in contexts]
+    return classify(ag.concat(finals), model.head)
 
 
 def atae_forward(model: AtaeModel, word_matrix: Tensor, span: AspectSpan) -> tuple[Tensor, Tensor]:
@@ -214,7 +213,7 @@ def atae_forward(model: AtaeModel, word_matrix: Tensor, span: AspectSpan) -> tup
     if span.end >= n:
         raise ValueError(f"span {span} outside sentence of {n} rows")
     a = aspect_mean(word_matrix[span.start : span.end + 1])
-    states, _ = run_lstm(append_to_rows(word_matrix, a), model.lstm)
+    states = run_lstm(append_to_rows(word_matrix, a), model.lstm)
     alpha, pooled = additive_attention(states, a, model.attention)
     return classify(pooled, model.head), alpha
 
@@ -224,8 +223,8 @@ def ian_forward(model: IanModel, word_matrix: Tensor, span: AspectSpan) -> tuple
     n = word_matrix.data.shape[0]
     if span.end >= n:
         raise ValueError(f"span {span} outside sentence of {n} rows")
-    aspect_states, _ = run_lstm(word_matrix[span.start : span.end + 1], model.lstm_aspect)
-    sentence_states, _ = run_lstm(word_matrix, model.lstm_sentence)
+    aspect_states = run_lstm(word_matrix[span.start : span.end + 1], model.lstm_aspect)
+    sentence_states = run_lstm(word_matrix, model.lstm_sentence)
     pooled_aspect_query = max_pool_rows(aspect_states)
     pooled_sentence_query = max_pool_rows(sentence_states)
     alpha_aspect, aspect_rep = additive_attention(aspect_states, pooled_sentence_query, model.attn_aspect)

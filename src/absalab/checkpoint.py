@@ -107,9 +107,11 @@ def load_archive(path) -> dict[str, np.ndarray]:
         nbytes = 4 * size
         if offset + nbytes > len(blob):
             raise ValueError(f"{path}: truncated values for entry {name!r}")
-        arr = np.frombuffer(view, dtype="<f4", count=size, offset=offset).reshape(shape)
+        try:  # numpy refuses some shapes of no values too, e.g. (0, 2**32 - 1, 2**32 - 1)
+            entries[name] = np.frombuffer(view, dtype="<f4", count=size, offset=offset).reshape(shape).copy()
+        except ValueError as err:
+            raise ValueError(f"{path}: entry {name!r} has extents {shape} that numpy cannot hold: {err}") from None
         offset += nbytes
-        entries[name] = arr.copy()
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
     return entries

@@ -82,14 +82,13 @@ def _cmd_export_st(args) -> int:
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise FileNotFoundError(f"missing AE checkpoint {ckpt}")
-    split = args.split
-    dataset, vocab = _load_samples(config, split)
+    dataset, vocab = _load_samples(config, args.split)
     model, _, meta = load_model(ckpt, vocab.matrix)
     if meta.get("task") != "ae":
         raise ValueError(f"export-st needs an AE checkpoint, got task {meta.get('task')!r}")
     cache = export_transfer_cache(model, dataset_sentence_ids(dataset, vocab))
     save_archive(args.out, cache)
-    print(f"wrote {len(cache)} transfer matrices (width {meta['transfer_dim']}) to {args.out}")
+    print(f"wrote {len(cache)} transfer matrices (width {model.transfer_dim}) to {args.out}")
     return 0
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .ae import AspectSpan, encode_spans
 from .alsa import LABEL_NAMES, POLARITY_TO_LABEL, AlsaSample
+from .checkpoint import atomic_write
 
 GLOVE_DIM = 300
 UNK_INIT_RANGE = 0.25
@@ -356,7 +357,7 @@ def write_dataset_cache(path, dataset: Dataset) -> None:
             {"start": s.span.start, "end": s.span.end, "label": s.label,
              "polarity": LABEL_NAMES[s.label]}
         )
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for sent in dataset.sentences:
             record = {
                 "sentence_id": sent.sentence_id,
@@ -369,6 +370,20 @@ def write_dataset_cache(path, dataset: Dataset) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _typed(values, types: Sequence[type], what: str) -> list:
+    """`values` if it is a list of exactly `types` (a bool is not an int); else a ValueError naming `what`."""
+    if type(values) is not list or list(map(type, values)) != list(types):
+        raise ValueError(f"{what} must be [{', '.join(t.__name__ for t in types)}], got {values!r}")
+    return values
+
+
+def _labelled_span(s: dict) -> tuple[AspectSpan, int]:
+    start, end, label = _typed([s["start"], s["end"], s["label"]], (int, int, int), "sample start, end and label")
+    if POLARITY_TO_LABEL.get(s["polarity"]) != label:
+        raise ValueError(f"sample polarity {s['polarity']!r} does not match label {label}")
+    return AspectSpan(start, end), label
+
+
 def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
     """Inverse of :func:`write_dataset_cache`; a bad record names the file and line."""
     dataset = Dataset(domain="")
@@ -377,14 +392,14 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
         for lineno, line in enumerate(fh, start=1):
             try:
                 record = json.loads(line)
-                tokens = tuple(Token(t[0], t[1], t[2]) for t in record["tokens"])
+                tokens = tuple(Token(*_typed(t, (str, int, int), "token")) for t in record["tokens"])
                 dataset.domain, bio = record["domain"], record["bio"]
                 if bio is not None and (type(bio) is not list or len(bio) != len(tokens)
                                         or any(label not in ("B", "I", "O") for label in bio)):
                     raise ValueError(f"bio must be null or one B/I/O label for each of the {len(tokens)} tokens")
                 sentence = SentenceData(record["sentence_id"], record["text"], record["domain"], tokens, bio)
                 first = first_line.setdefault(sentence.sentence_id, lineno)
-                labelled = [(AspectSpan(s["start"], s["end"]), s["label"]) for s in record["samples"]]
+                labelled = [_labelled_span(s) for s in record["samples"]]
                 _add_sentence(dataset, vocab, sentence, labelled)
             except KeyError as err:
                 raise IngestError(f"{path}: line {lineno}: missing field {err.args[0]!r}") from None

@@ -631,7 +631,7 @@ def dump_attention(model, samples: Sequence[AlsaSample], mode: InputMode,
                 "gold": alsa_mod.LABEL_NAMES[sample.label],
             })
     if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for record in records:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
     return records

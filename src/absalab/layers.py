@@ -141,20 +141,13 @@ def _add_weight_grads(cell: CellParams, inputs: np.ndarray, recurrent: list[np.n
         ag._accumulate(param, g)
 
 
-def run_lstm(inputs: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
-    """LSTM over the rows of `inputs`, first to last; returns (all_states, final_state).
-
-    A caller that reads a sequence right to left passes its rows reversed.
-    Empty input yields a 0 x hidden state matrix and a zero final state. The
-    two outputs are separate tape nodes over one forward run, and the output
-    the loss reads sets the float32 summation order of the gradient, so that
-    it equals a per-step tape's. A loss that reads both runs the backward
-    twice: still the gradient, summed in another order (no model reads both).
-    """
+def run_lstm(inputs: Tensor, cell: CellParams) -> Tensor:
+    """LSTM over the rows of `inputs`, first to last; returns the n x hidden states. A
+    caller that reads right to left passes its rows reversed; the final state is the last row."""
     x, w, u, b = inputs.data, cell.w.data, cell.u.data, cell.b.data
     n = x.shape[0]
     if n == 0:
-        return Tensor(np.zeros((0, cell.hidden_dim), dtype=x.dtype)), Tensor(np.zeros(cell.hidden_dim, dtype=x.dtype))
+        raise ValueError("run_lstm requires at least one input row")
     if x.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
     xw = np.matmul(x[:, None, None, :], w)[:, :, 0]  # row t, gate k: x[t] @ w[k]
@@ -170,7 +163,7 @@ def run_lstm(inputs: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
         h, c = o * tanh_c, c_next
         states[t] = h
 
-    def backward(grad, deferred):
+    def backward(grad):
         dz = np.empty((4, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
         dh, dc_next = grad[n - 1], None
         for j in range(n - 1, -1, -1):
@@ -189,18 +182,9 @@ def run_lstm(inputs: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
             gx = ((terms[3] + terms[0]) + terms[1]) + terms[2]
             ag._accumulate(inputs, gx[::-1])
         h_back = np.array([s[0] for s in reversed(saved)])
-        _add_weight_grads(cell, x[::-1].copy(), [h_back] * 4, dz, deferred)
+        _add_weight_grads(cell, x[::-1].copy(), [h_back] * 4, dz, None)
 
-    def final_backward(grad):
-        full = np.zeros_like(states)
-        full[n - 1] += grad  # an add, as a row read does: -0.0 becomes +0.0
-        backward(full, 2)
-
-    # A walk that enters at the final state reaches the output gate's input
-    # term of every step before any other node.
-    parents = (inputs, cell.w, cell.u, cell.b)
-    return (ag._node(states, parents, lambda grad: backward(grad, None)),
-            ag._node(states[n - 1], parents, final_backward))
+    return ag._node(states, (inputs, cell.w, cell.u, cell.b), backward)
 
 
 def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
@@ -309,5 +293,5 @@ def append_to_rows(matrix: Tensor, vec: Tensor) -> Tensor:
     """Concatenate `vec` onto every row of `matrix`."""
     n = matrix.data.shape[0]
     if n == 0:
-        return Tensor(np.zeros((0, matrix.data.shape[1] + vec.data.shape[0]), dtype=matrix.data.dtype))
+        raise ValueError("append_to_rows requires at least one row")
     return ag.concat([matrix, ag.stack_rows([vec] * n)], axis=1)

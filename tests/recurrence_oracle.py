@@ -84,19 +84,14 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     return ag.stack_rows([ag.concat([f, b]) for f, b in zip(forward_states, backward_states)])
 
 
-def run_lstm(inputs: Tensor, cell: CellParams) -> tuple[Tensor, Tensor]:
-    """LSTM over the rows of `inputs`, first to last; returns (all_states, final_state).
-
-    Empty input yields a 0 x hidden state matrix and a zero final state.
-    """
+def run_lstm(inputs: Tensor, cell: CellParams) -> Tensor:
+    """LSTM over the rows of `inputs`, first to last; returns the n x hidden states."""
     n = inputs.data.shape[0]
-    dtype = inputs.data.dtype
     if n == 0:
-        return Tensor(np.zeros((0, cell.hidden_dim), dtype=dtype)), Tensor(np.zeros(cell.hidden_dim, dtype=dtype))
+        raise ValueError("run_lstm requires at least one input row")
     if inputs.data.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
-    states = _scan(cell, inputs, reverse=False, lstm=True)
-    return ag.stack_rows(states), states[-1]
+    return ag.stack_rows(_scan(cell, inputs, reverse=False, lstm=True))
 
 
 def swap_in(monkeypatch) -> None:

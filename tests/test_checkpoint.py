@@ -1,6 +1,12 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absalab.checkpoint import MAGIC, atomic_write, load_archive, load_checkpoint, save_archive, save_checkpoint
 
@@ -67,6 +73,56 @@ def test_extent_product_does_not_wrap(tmp_path):
     path.write_bytes(header + (65536).to_bytes(4, "little") * 4)
     with pytest.raises(ValueError, match="truncated values for entry 'x'"):
         load_archive(path)
+
+
+def test_extents_numpy_cannot_hold_name_the_file_and_entry(tmp_path):
+    # no values to read, but numpy refuses a shape this large
+    header = MAGIC + bytes([1]) + (1).to_bytes(4, "little") + (1).to_bytes(2, "little") + b"x" + bytes([3])
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(header + (0).to_bytes(4, "little") + (2**32 - 1).to_bytes(4, "little") * 2)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: entry 'x' has extents (0, 4294967295, 4294967295)")):
+        load_archive(path)
+
+
+def _fuzz_archive() -> bytes:
+    """A small archive holding a rank-0, a rank-1, a rank-2 and an empty entry."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "small.ckpt"
+        save_archive(path, {"s": np.float32(1.5), "b": np.arange(3, dtype=np.float32),
+                            "w/é": np.ones((2, 2), dtype=np.float32), "e": np.zeros((0, 4), dtype=np.float32)})
+        return path.read_bytes()
+
+
+FUZZ_ARCHIVE = _fuzz_archive()
+
+
+def assert_loads_or_names_the_file(path):
+    """A damaged archive either loads whole or fails with a ValueError naming its path."""
+    try:
+        entries = load_archive(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: "), err
+        return
+    assert all(isinstance(value, np.ndarray) and value.dtype == np.float32 for value in entries.values())
+
+
+def test_an_archive_cut_at_any_byte_is_refused_by_name(tmp_path):
+    path = tmp_path / "cut.ckpt"
+    for end in range(len(FUZZ_ARCHIVE)):
+        path.write_bytes(FUZZ_ARCHIVE[:end])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+            load_archive(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(flips=st.lists(st.tuples(st.integers(0, len(FUZZ_ARCHIVE) - 1), st.integers(1, 255)), min_size=1, max_size=3))
+def test_an_archive_with_flipped_bytes_loads_or_names_the_file(tmp_path_factory, flips):
+    blob = bytearray(FUZZ_ARCHIVE)
+    for position, bits in flips:
+        blob[position] ^= bits
+    path = tmp_path_factory.mktemp("flips") / "flipped.ckpt"
+    path.write_bytes(bytes(blob))
+    assert_loads_or_names_the_file(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):

@@ -120,6 +120,22 @@ def test_full_transfer_pipeline_via_cli(capsys, fixtures_dir, tmp_path):
     assert "checkpoint:" in out
 
 
+def test_export_st_takes_the_width_from_the_model(capsys, fixtures_dir, tmp_path):
+    # an AE sidecar need not hold transfer_dim: the loader does not require it
+    code, _, err = run_cli(capsys, "train-ae", *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    ae_ckpt = tmp_path / "ckpt" / "ae_laptop.best.ckpt"
+    sidecar = Path(f"{ae_ckpt}.meta.json")
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    del meta["transfer_dim"]
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    st_path = tmp_path / "laptop_train.st"
+    code, out, err = run_cli(capsys, "export-st", "--checkpoint", str(ae_ckpt), "--split", "train",
+                             "--out", str(st_path), *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    assert f"transfer matrices (width 6) to {st_path}" in out
+
+
 def test_dump_attention_command(capsys, fixtures_dir, tmp_path):
     code, out, err = run_cli(capsys, "train-alsa", *base_args(fixtures_dir, tmp_path))
     assert code == 0, err
@@ -262,7 +278,7 @@ def test_readme_command_lines_parse():
 def test_training_is_bit_identical_with_one_or_two_blas_threads(fixtures_dir, tmp_path):
     # Training calls only GEMVs, stacked GEMVs and small GEMMs, whose bits do not
     # depend on the BLAS thread count; a larger GEMM could, and would fail here.
-    # TC-LSTM sums a gate from the first step, multitask trains an LSTM's input.
+    # TC-LSTM reads its LSTMs' last rows, multitask trains an LSTM's input.
     root = Path(__file__).resolve().parents[1]
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,

@@ -656,6 +656,42 @@ def test_dataset_cache_bad_bio_names_file_and_line(tmp_path, bio):
     assert read_dataset_cache(path, vocab).sentences[0].bio == ["B", "I", "O"]
 
 
+CACHE_RECORD = {"sentence_id": "s1", "domain": "laptop", "text": "the battery", "bio": ["O", "B"],
+                "tokens": [["the", 0, 3], ["battery", 4, 11]],
+                "samples": [{"start": 1, "end": 1, "label": 1, "polarity": "negative"}]}
+MISTYPED_RECORDS = {
+    "string-tokens": ({"tokens": ["the", "battery"]}, "token must be [str, int, int], got 'the'"),
+    "float-offset": ({"tokens": [["the", 0, 3.0], ["battery", 4, 11]]},
+                     "token must be [str, int, int], got ['the', 0, 3.0]"),
+    "float-span-and-label": ({"samples": [{"start": 0.0, "end": 1.5, "label": 1.0, "polarity": "negative"}]},
+                             "sample start, end and label must be [int, int, int], got [0.0, 1.5, 1.0]"),
+    "bool-span": ({"samples": [{"start": False, "end": True, "label": 1, "polarity": "negative"}]},
+                  "sample start, end and label must be [int, int, int], got [False, True, 1]"),
+    "bool-label": ({"samples": [{"start": 1, "end": 1, "label": True, "polarity": "negative"}]},
+                   "sample start, end and label must be [int, int, int], got [1, 1, True]"),
+    "contradicting-polarity": ({"samples": [{"start": 1, "end": 1, "label": 1, "polarity": "positive"}]},
+                               "sample polarity 'positive' does not match label 1"),
+}
+
+
+def test_dataset_cache_reads_its_example_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(CACHE_RECORD) + "\n", encoding="utf-8")
+    loaded = read_dataset_cache(path, Vocabulary.random(["the", "battery"], dim=4, seed=0))
+    assert loaded.sentences[0].tokens == (Token("the", 0, 3), Token("battery", 4, 11))
+    assert [(s.span, s.label) for s in loaded.samples] == [(AspectSpan(1, 1), 1)]
+
+
+@pytest.mark.parametrize("fields, problem", list(MISTYPED_RECORDS.values()), ids=list(MISTYPED_RECORDS))
+def test_dataset_cache_rejects_a_mistyped_record(tmp_path, fields, problem):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(CACHE_RECORD) + "\n" + json.dumps({**CACHE_RECORD, "sentence_id": "s2", **fields})
+                    + "\n", encoding="utf-8")
+    vocab = Vocabulary.random(["the", "battery"], dim=4, seed=0)
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 2: malformed record: {problem}")):
+        read_dataset_cache(path, vocab)
+
+
 def test_dataset_cache_rejects_a_duplicate_sentence_id(tmp_path, laptop_train_xml):
     path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
     record = json.loads(lines[1])

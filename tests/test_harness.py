@@ -10,7 +10,7 @@ import pytest
 from absalab.ae import AeModel
 from absalab.alsa import InputMode
 from absalab.checkpoint import load_archive, save_checkpoint
-from absalab.data import IngestError
+from absalab.data import IngestError, Vocabulary, build_dataset, collect_tokens, parse_semeval, write_dataset_cache
 from absalab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -594,6 +594,40 @@ def test_dump_attention_rejects_tclstm():
     model = create_alsa_model(store, "tclstm", d_in=vocab.dim, hidden=4, rng=np.random.default_rng(1))
     with pytest.raises(ValueError, match="no attention to dump"):
         dump_attention(model, samples, InputMode.plain(), vocab.matrix)
+
+
+@pytest.mark.parametrize("target", ["dataset-cache", "attention-dump"])
+def test_a_write_that_fails_keeps_the_previous_file(tmp_path, monkeypatch, laptop_train_xml, target):
+    if target == "dataset-cache":
+        parsed = parse_semeval(laptop_train_xml)
+        dataset = build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4, seed=0))
+
+        def write(path):
+            write_dataset_cache(path, dataset)
+    else:
+        samples, vocab = synthetic_alsa_samples(num_samples=3, seed=2)
+        model = alsa_mod.create_alsa_model(ParamStore(), "atae", d_in=vocab.dim, hidden=4, rng=np.random.default_rng(1))
+
+        def write(path):
+            dump_attention(model, samples, InputMode.plain(), vocab.matrix, path=path)
+
+    path = tmp_path / "out.jsonl"
+    write(path)
+    before = path.read_bytes()
+    dumps, calls = json.dumps, []
+
+    def second_record_fails(*args, **kwargs):  # both writers encode one record per line
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError("no space left on device")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", second_record_fails)
+    with pytest.raises(OSError, match="no space left"):
+        write(path)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]  # no *.tmp left behind
 
 
 # -- majority -------------------------------------------------------------------------------------

@@ -114,11 +114,12 @@ def weighted_sum(states):
 
 
 def lstm_outputs(run_lstm, x, h, reading, read_final):
-    """`reading="backward"` hands the LSTM a reversed view of `x`'s rows."""
+    """`reading="backward"` hands the LSTM a reversed view of `x`'s rows;
+    `read_final` reads the last row of the states, as TC-LSTM does."""
     rows = x[::-1] if reading == "backward" else x
     inputs, cell = Tensor(rows, requires_grad=True), make_cell(1, x.shape[1], h, 4)
-    states, final = run_lstm(inputs, cell)
-    read = final if read_final else states
+    states = run_lstm(inputs, cell)
+    read = states[-1] if read_final else states
     weighted_sum(read).backward()
     return {"states": read.data, "w": cell.w.grad, "u": cell.u.grad, "b": cell.b.grad, "inputs": inputs.grad}
 
@@ -156,9 +157,9 @@ KERNEL_SHAPES = ([(n, d, h) for n in (1, 2, 8, 20) for d, h in WIDTHS]
                  + [(130, 600, 128), (8, 7, 200), (20, 600, 200)])
 
 
-# Every row or the final state, of the rows as given or a reversed view: the
-# models read every row (ATAE, IAN, the multitask head) and the final state
-# (TC-LSTM, whose right context is the sentence read from its end).
+# Every row or the last row, of the rows as given or a reversed view: the
+# models read every row (ATAE, IAN, the multitask head) and the last row
+# (TC-LSTM's final state, whose right context is the sentence read from its end).
 @pytest.mark.parametrize("n, d, h", KERNEL_SHAPES)
 @pytest.mark.parametrize("reading, read_final", [("forward", False), ("forward", True), ("backward", True),
                                                  ("backward", False)])

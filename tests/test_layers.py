@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absalab import alsa
 from absalab import autograd as ag
+from absalab.ae import AspectSpan
+from absalab.alsa import create_alsa_model, tclstm_forward
 from absalab.autograd import Tensor
 from absalab.layers import (
     GRU,
@@ -136,20 +139,32 @@ def test_bigru_rejects_input_that_requires_grad():
 # -- LSTM -------------------------------------------------------------------------
 
 
-def test_lstm_empty_input_yields_zero_final_state():
+def test_lstm_refuses_empty_input():
     store = ParamStore()
     cell = make_lstm(store, "l", 3, 4)
-    states, final = run_lstm(Tensor(np.zeros((0, 3))), cell)
-    assert states.data.shape == (0, 4)
-    npt.assert_array_equal(final.data, np.zeros(4))
+    with pytest.raises(ValueError, match="at least one input row"):
+        run_lstm(Tensor(np.zeros((0, 3))), cell)
+
+
+def test_lstm_empty_input_yields_zero_final_state(monkeypatch):
+    # the empty input is TC-LSTM's left context of an aspect at the sentence
+    # start: the model reads no LSTM there and passes a zero final state on
+    model = create_alsa_model(ParamStore(), "tclstm", d_in=3, hidden=4, rng=np.random.default_rng(0))
+    features = []
+    monkeypatch.setattr(alsa, "classify", lambda x, head: features.append(x.data) or classify(x, head))
+    tclstm_forward(model, Tensor(np.ones((3, 3), dtype=np.float32)), AspectSpan(0, 0))
+    (left, right), = [np.split(x, 2) for x in features]
+    assert left.dtype == np.float32
+    npt.assert_array_equal(left, np.zeros(4))
+    assert np.any(right != 0)
 
 
 def test_lstm_zero_weights_zero_input_single_step():
     store = ParamStore()
     cell = make_lstm(store, "l", 3, 4)
     zero_params(store)
-    _, final = run_lstm(Tensor(np.zeros((1, 3))), cell)
-    npt.assert_array_equal(final.data, np.zeros(4))
+    states = run_lstm(Tensor(np.zeros((1, 3))), cell)
+    npt.assert_array_equal(states.data, np.zeros((1, 4)))
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -177,7 +192,7 @@ def test_cell_gate_blocks_are_the_per_gate_draws(gate_biases):
 @pytest.mark.parametrize("reading", ["forward", "backward"])
 def test_every_cell_coordinate_passes_grad_check(rng, reading):
     # all coordinates of w, u and b, so every gate's block is checked; the
-    # loss reads both LSTM outputs, so both of their backwards add up; a
+    # loss reads the LSTM's states and, as TC-LSTM does, their last row; a
     # backward reading hands the cells a reversed view of the rows
     store = ParamStore()
     gru = make_gru(store, "g", 2, 3, seed=1)
@@ -188,7 +203,8 @@ def test_every_cell_coordinate_passes_grad_check(rng, reading):
     lstm_proj = Tensor(rng.normal(size=(3, 3)))
 
     def loss():
-        states, final = run_lstm(x, lstm)
+        states = run_lstm(x, lstm)
+        final = states[-1]
         return (run_bigru(x, gru, gru) @ gru_proj).sum() + (states @ lstm_proj).sum() + (final * final).sum()
 
     assert grad_check(store, loss, max_coords_per_param=max(store.value(n).size for n in store.names())) < 1e-6
@@ -307,6 +323,11 @@ def test_append_to_rows(rng):
     npt.assert_array_equal(out.data[:, :2], m)
     for row in out.data:
         npt.assert_array_equal(row[2:], v)
+
+
+def test_append_to_rows_refuses_no_rows():
+    with pytest.raises(ValueError, match="at least one row"):
+        append_to_rows(Tensor(np.zeros((0, 2))), Tensor(np.ones(4)))
 
 
 # -- gradients through compositions ---------------------------------------------------

@@ -1,16 +1,16 @@
-"""The tagging losses put a fixed number of nodes on the tape, whatever the
-sentence length.
+"""The tagging and sentiment losses put a fixed number of nodes on the
+tape, whatever the sentence length.
 
-The BiGRU and the CRF scores are one node each per sentence, so a node per
-token creeping back into `ae_loss` or `multitask_loss` shows here as a
-count that grows with n.
+The BiGRU, each LSTM sequence and the CRF scores are one node each per
+sentence, so a node per token creeping back into `ae_loss`,
+`multitask_loss` or `alsa_loss` shows here as a count that grows with n.
 """
 
 import numpy as np
 import pytest
 
 from absalab.ae import AeModel, AspectSpan, ae_loss
-from absalab.alsa import MultitaskModel, multitask_loss
+from absalab.alsa import AlsaSample, InputMode, MultitaskModel, alsa_loss, create_alsa_model, multitask_loss
 from absalab.optim import ParamStore
 
 LENGTHS = (2, 20, 60)
@@ -29,9 +29,15 @@ def count_tape_nodes(loss) -> int:
     return len(seen)
 
 
-def tagging_loss(task, n):
-    """The loss of one n-token sentence whose last two tokens are the aspect."""
+def sentence_loss(task, n):
+    """The loss of one n-token sentence whose last two tokens are the aspect;
+    for a sentiment model, of an (n + 2)-token sentence whose aspect is the
+    tokens 1..n, so both TC-LSTM contexts hold a token."""
     rng = np.random.default_rng(1)
+    if task in ("tclstm", "atae", "ian"):
+        model = create_alsa_model(ParamStore(), task, d_in=EMBEDDINGS.shape[1], hidden=4, rng=rng)
+        sample = AlsaSample(tuple(i % len(EMBEDDINGS) for i in range(n + 2)), AspectSpan(1, n), 0, "s", "d")
+        return alsa_loss(model, sample, InputMode.plain(), EMBEDDINGS)
     ids = [i % len(EMBEDDINGS) for i in range(n)]
     gold = ["O"] * (n - 2) + ["B", "I"]
     if task == "ae":
@@ -40,7 +46,7 @@ def tagging_loss(task, n):
     return multitask_loss(model, ids, gold, AspectSpan(n - 2, n - 1), 1)
 
 
-@pytest.mark.parametrize("task", ["ae", "multitask"])
+@pytest.mark.parametrize("task", ["ae", "multitask", "tclstm", "atae", "ian"])
 def test_tape_size_does_not_grow_with_the_sentence(task):
-    counts = {n: count_tape_nodes(tagging_loss(task, n)) for n in LENGTHS}
+    counts = {n: count_tape_nodes(sentence_loss(task, n)) for n in LENGTHS}
     assert len(set(counts.values())) == 1, f"{task}: tape nodes by sentence length {counts}"
