@@ -95,23 +95,19 @@ def build_input(sample: AlsaSample, mode: InputMode, embeddings: np.ndarray) -> 
     matrix = np.asarray(embeddings)
     word_rows = matrix[np.asarray(sample.token_ids, dtype=np.intp)]
     n = word_rows.shape[0]
-    if mode.variant == "plain":
-        full = word_rows
-    elif mode.variant in ("transfer", "noise"):
-        if mode.variant == "transfer":
-            if mode.source is None or sample.sentence_id not in mode.source:
-                raise KeyError(f"no cached transfer rows for sentence {sample.sentence_id!r}")
-            extra = np.asarray(mode.source[sample.sentence_id])
-            if extra.shape != (n, mode.extra_dim):
-                raise ValueError(
-                    f"transfer rows for sentence {sample.sentence_id!r} have shape {extra.shape}, "
-                    f"expected {(n, mode.extra_dim)}"
-                )
-        else:
-            extra = np.random.default_rng(_noise_seed(mode.seed, sample.sentence_id)).standard_normal((n, mode.extra_dim))
-        full = np.concatenate([word_rows, extra.astype(word_rows.dtype, copy=False)], axis=1)
-    else:
+    if mode.variant == "transfer":
+        if mode.source is None or sample.sentence_id not in mode.source:
+            raise KeyError(f"no cached transfer rows for sentence {sample.sentence_id!r}")
+        extra = np.asarray(mode.source[sample.sentence_id])
+        if extra.shape != (n, mode.extra_dim):
+            raise ValueError(f"transfer rows for sentence {sample.sentence_id!r} have shape {extra.shape}, "
+                             f"expected {(n, mode.extra_dim)}")
+    elif mode.variant == "noise":
+        extra = np.random.default_rng(_noise_seed(mode.seed, sample.sentence_id)).standard_normal((n, mode.extra_dim))
+    elif mode.variant != "plain":
         raise ValueError(f"unknown input mode {mode.variant!r}")
+    full = word_rows if mode.variant == "plain" else np.concatenate(
+        [word_rows, extra.astype(word_rows.dtype, copy=False)], axis=1)
     word_matrix = Tensor(full)
     aspect_rows = Tensor(full[sample.span.start : sample.span.end + 1])
     return word_matrix, aspect_rows

@@ -252,8 +252,7 @@ def logistic(x: np.ndarray) -> np.ndarray:
     """The sigmoid of an array, in its dtype, as the sequence kernels' gates use it."""
     # Stable in both tails: exp of a non-positive argument only.
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 # -- reductions ----------------------------------------------------------------
@@ -264,10 +263,7 @@ def tsum(t: Tensor, axis=None) -> Tensor:
     data = t.data.sum(axis=axis)
 
     def backward(g):
-        if axis is None:
-            _accumulate(t, np.broadcast_to(g, t.data.shape).copy())
-        else:
-            _accumulate(t, np.broadcast_to(np.expand_dims(g, axis), t.data.shape).copy())
+        _accumulate(t, np.broadcast_to(g if axis is None else np.expand_dims(g, axis), t.data.shape).copy())
 
     return _node(data, (t,), backward)
 
@@ -362,11 +358,7 @@ def take(t: Tensor, key) -> Tensor:
 
 
 def _is_fancy(key) -> bool:
-    if isinstance(key, (np.ndarray, list)):
-        return True
-    if isinstance(key, tuple):
-        return any(isinstance(k, (np.ndarray, list)) for k in key)
-    return False
+    return any(isinstance(k, (np.ndarray, list)) for k in (key if isinstance(key, tuple) else (key,)))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

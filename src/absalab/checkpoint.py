@@ -52,9 +52,7 @@ def atomic_write(path, mode: str = "w"):
 
 def save_archive(path, entries: Mapping[str, np.ndarray]) -> None:
     with atomic_write(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", VERSION))
-        fh.write(struct.pack("<I", len(entries)))
+        fh.write(MAGIC + struct.pack("<BI", VERSION, len(entries)))  # "<": no padding
         for name, values in entries.items():
             arr = np.ascontiguousarray(values, dtype="<f4")
             encoded = name.encode("utf-8")
@@ -62,9 +60,7 @@ def save_archive(path, entries: Mapping[str, np.ndarray]) -> None:
                 raise ValueError(f"entry name too long: {name[:40]}...")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<I", extent))
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
             fh.write(arr.tobytes(order="C"))
 
 
@@ -131,6 +127,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise FileNotFoundError(f"missing checkpoint sidecar {sidecar}")
     try:
         meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{sidecar}: not UTF-8 text: {err.reason} at byte {err.start}") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"{sidecar}: malformed JSON at line {err.lineno}, column {err.colno}: {err.msg}") from None
     if not isinstance(meta, dict):

@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 
 from .checkpoint import load_archive, save_archive
-from .data import build_dataset, collect_tokens, load_embeddings, read_semeval, split_sa_ma
-from .data import Vocabulary, polarity_counts
+from .data import Vocabulary, build_dataset, collect_tokens, load_embeddings, polarity_counts, read_semeval, split_sa_ma
 from .harness import (
     ConfigError,
     ExperimentConfig,

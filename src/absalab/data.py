@@ -120,6 +120,8 @@ def read_semeval(path) -> list[ParsedSentence]:
     """:func:`parse_semeval` of one XML file; its errors name the file."""
     try:
         return parse_semeval(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as err:
+        raise IngestError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
     except IngestError as err:
         raise IngestError(f"{path}: {err}") from None
 
@@ -178,7 +180,8 @@ def _parse_vectors(path, queue: list[tuple[int, str, str]], found: dict[str, np.
     or forms only `float()` reads, such as `1_0` or non-ASCII digits), one
     with an empty row (which the reader would skip) and one with a character
     the reader strips as whitespace and `float()` does not are parsed line
-    by line, so values and the first bad line stay `float()`'s.
+    by line, so values and the first bad line stay `float()`'s. A row that
+    is not finite in float32 is a bad line too.
     """
     if not queue:
         return
@@ -190,9 +193,11 @@ def _parse_vectors(path, queue: list[tuple[int, str, str]], found: dict[str, np.
                               ndmin=2).astype(np.float32)
         except ValueError:
             pass
-    if rows is None:
-        rows = [_parse_vector(path, lineno, components) for lineno, _, components in queue]
-    for (_, token, _), row in zip(queue, rows):
+    if rows is None:  # lazily, so a non-finite row before a non-numeric one is reported first
+        rows = (_parse_vector(path, lineno, components) for lineno, _, components in queue)
+    for (lineno, token, _), row in zip(queue, rows):
+        if not np.isfinite(row).all():
+            raise IngestError(f"{path}: line {lineno}: non-finite vector component for {token!r}")
         found[token] = row
     queue.clear()
 
@@ -238,9 +243,9 @@ def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | 
                 queue.append((lineno, token, line[cut + 1:].rstrip("\n")))
                 if len(queue) == VECTOR_BATCH:
                     _parse_vectors(path, queue, found)
-        except UnicodeDecodeError:
+        except UnicodeDecodeError as err:
             _parse_vectors(path, queue, found)  # a bad line read before the undecodable bytes wins
-            raise
+            raise IngestError(f"{path}: not UTF-8 text: {err.reason}") from None
     _parse_vectors(path, queue, found)
     if expected_dim is None:
         raise IngestError(f"{path}: no vectors to take the width from")
@@ -388,10 +393,10 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
     """Inverse of :func:`write_dataset_cache`; a bad record names the file and line."""
     dataset = Dataset(domain="")
     first_line: dict[str, int] = {}  # sentence id -> line of its first record
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded line by line, so undecodable bytes have a line
         for lineno, line in enumerate(fh, start=1):
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 tokens = tuple(Token(*_typed(t, (str, int, int), "token")) for t in record["tokens"])
                 dataset.domain, bio = record["domain"], record["bio"]
                 if bio is not None and (type(bio) is not list or len(bio) != len(tokens)
@@ -403,6 +408,8 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
                 _add_sentence(dataset, vocab, sentence, labelled)
             except KeyError as err:
                 raise IngestError(f"{path}: line {lineno}: missing field {err.args[0]!r}") from None
+            except UnicodeDecodeError as err:
+                raise IngestError(f"{path}: line {lineno}: not UTF-8 text: {err.reason} at byte {err.start}") from None
             except json.JSONDecodeError as err:
                 raise IngestError(f"{path}: line {lineno}: malformed JSON at column {err.colno}: {err.msg}") from None
             except (IndexError, TypeError, AttributeError, ValueError) as err:

@@ -100,15 +100,21 @@ class ExperimentConfig:
 
 
 def parse_kv_file(path) -> dict:
-    """Plain `key = value` config lines; '#' starts a comment."""
-    mapping = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    """Plain `key = value` config lines, one per key; '#' starts a comment."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
+    mapping, line_of = {}, {}
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if line_of.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}: line {lineno}: key {key!r} repeats line {line_of[key]}")
         mapping[key] = value
     return mapping
 
@@ -171,9 +177,7 @@ def load_domain(config: ExperimentConfig,
             parsed[split] = read_semeval(path)
         elif split in require:
             raise FileNotFoundError(f"missing dataset file {path}")
-    tokens = []
-    for records in parsed.values():
-        tokens.extend(collect_tokens(records))
+    tokens = [token for records in parsed.values() for token in collect_tokens(records)]
     if config.embeddings_path:
         vocab = load_embeddings(config.embeddings_path, tokens, expected_dim=config.embedding_dim)
     else:
@@ -528,6 +532,8 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     keys = sorted(grid)
     points: list[dict] = [{}]
     for key in keys:
+        if not grid[key]:
+            raise ConfigError(f"grid key {key!r} has no values")
         points = [dict(p, **{key: v}) for p in points for v in grid[key]]
 
     scored = []  # (row, its dev score)

@@ -151,40 +151,39 @@ def run_lstm(inputs: Tensor, cell: CellParams) -> Tensor:
     if x.shape[1] != cell.input_dim:
         raise ag.ShapeError("run_lstm", inputs.shape, (cell.input_dim,))
     xw = np.matmul(x[:, None, None, :], w)[:, :, 0]  # row t, gate k: x[t] @ w[k]
-    states = np.empty((n, cell.hidden_dim), dtype=x.dtype)
-    saved = []  # per step: h and c before it, its gates i, f, o, g and tanh(c)
-    h = c = np.zeros(cell.hidden_dim, dtype=x.dtype)
+    hs, cs = np.zeros((2, n + 1, cell.hidden_dim), dtype=x.dtype)  # row t + 1: h and c after step t
+    gates = np.empty((n, 4, cell.hidden_dim), dtype=x.dtype)  # i, f, o, g
+    tanh_c = np.empty((n, cell.hidden_dim), dtype=x.dtype)
     for t in range(n):
-        z = (xw[t] + np.matmul(h, u)) + b
-        (i, f, o), g = ag.logistic(z[:3]), np.tanh(z[3])
-        c_next = f * c + i * g
-        tanh_c = np.tanh(c_next)
-        saved.append((h, c, i, f, o, g, tanh_c))
-        h, c = o * tanh_c, c_next
-        states[t] = h
+        z = (xw[t] + np.matmul(hs[t], u)) + b
+        gates[t, :3] = ag.logistic(z[:3])
+        i, f, o, g = gates[t]
+        np.tanh(z[3], out=g)
+        np.add(f * cs[t], i * g, out=cs[t + 1])
+        np.multiply(o, np.tanh(cs[t + 1], out=tanh_c[t]), out=hs[t + 1])
 
     def backward(grad):
+        one_minus, d_g, d_tanh_c = 1.0 - gates[:, :3], 1.0 - gates[:, 3] * gates[:, 3], 1.0 - tanh_c * tanh_c
         dz = np.empty((4, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
-        dh, dc_next = grad[n - 1], None
+        dh, dc_next = grad[n - 1], -0.0  # -0.0 + v is v, bit for bit: the last step has no later cell
         for j in range(n - 1, -1, -1):
-            h_prev, c_prev, i, f, o, g, tanh_c = saved[j]
-            dc = (dh * o) * (1.0 - tanh_c * tanh_c)
-            if dc_next is not None:
-                dc = dc_next + dc
-            dz[:, n - 1 - j] = (((dc * g) * i) * (1.0 - i), ((dc * c_prev) * f) * (1.0 - f),
-                                ((dh * tanh_c) * o) * (1.0 - o), (dc * i) * (1.0 - g * g))
+            d, (i, f, o, g), (one_minus_i, one_minus_f, one_minus_o) = dz[:, n - 1 - j], gates[j], one_minus[j]
+            dc = dc_next + (dh * o) * d_tanh_c[j]
+            np.multiply((dc * g) * i, one_minus_i, out=d[0])
+            np.multiply((dc * cs[j]) * f, one_minus_f, out=d[1])
+            np.multiply((dh * tanh_c[j]) * o, one_minus_o, out=d[2])
+            np.multiply(dc * i, d_g[j], out=d[3])
             dc_next = dc * f
             if j:  # the downstream row, then the recurrent terms in the gate order 3, 0, 1, 2
-                terms = np.matmul(u, dz[:, n - 1 - j, :, None])[..., 0]
+                terms = np.matmul(u, d[..., None])[..., 0]
                 dh = (((grad[j - 1] + terms[3]) + terms[0]) + terms[1]) + terms[2]
         if inputs.requires_grad:  # row r: w[k] @ dz[k, r] over the gates 3, 0, 1, 2, as for h above
             terms = np.matmul(w[:, None], dz[..., None])[..., 0]
             gx = ((terms[3] + terms[0]) + terms[1]) + terms[2]
             ag._accumulate(inputs, gx[::-1])
-        h_back = np.array([s[0] for s in reversed(saved)])
-        _add_weight_grads(cell, x[::-1].copy(), [h_back] * 4, dz, None)
+        _add_weight_grads(cell, x[::-1].copy(), [hs[n - 1::-1].copy()] * 4, dz, None)
 
-    return ag._node(states, (inputs, cell.w, cell.u, cell.b), backward)
+    return ag._node(hs[1:], (inputs, cell.w, cell.u, cell.b), backward)
 
 
 def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
@@ -215,15 +214,14 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
     b = np.stack([fwd.b.data, bwd.b.data], axis=1)[:, :, None]
     xw_zr, xw_cand, u_zr, u_cand, b_zr, b_cand = xw[:, :2], xw[:, 2], u[:2], u[2], b[:2], b[2]
     states = np.zeros((n + 1, 2, 1, h), dtype=x.dtype)  # row t + 1: both states after step t
-    rh = np.empty((n, 2, 1, h), dtype=x.dtype)
-    saved_zr, saved_cand = [], []
+    rh, cand_all = np.empty((2, n, 2, 1, h), dtype=x.dtype)
+    zr_all = np.empty((n, 2, 2, 1, h), dtype=x.dtype)  # step, gate (update, reset), direction
     for t in range(n):
         prev = states[t]
-        z, r = zr = ag.logistic((xw_zr[t] + np.matmul(prev, u_zr)) + b_zr)
-        cand = np.tanh((xw_cand[t] + np.matmul(np.multiply(r, prev, out=rh[t]), u_cand)) + b_cand)
+        zr_all[t] = ag.logistic((xw_zr[t] + np.matmul(prev, u_zr)) + b_zr)
+        z, r = zr_all[t]
+        cand = np.tanh((xw_cand[t] + np.matmul(np.multiply(r, prev, out=rh[t]), u_cand)) + b_cand, out=cand_all[t])
         np.add((1.0 - z) * prev, z * cand, out=states[t + 1])
-        saved_zr.append(zr)
-        saved_cand.append(cand)
 
     def backward(grad):
         g = grad.reshape(n, 2, 1, h)
@@ -235,7 +233,6 @@ def run_bigru(inputs: Tensor, fwd: CellParams, bwd: CellParams) -> Tensor:
         # both orders are one sum.
         pre, post = np.full((2, n, 2, 1, h), -0.0, dtype=g.dtype)
         pre[:, 1], post[:, 0] = g[::-1, 1], g[:, 0]
-        zr_all, cand_all = np.array(saved_zr), np.array(saved_cand)
         one_minus, d_tanh = 1.0 - zr_all, 1.0 - cand_all * cand_all
         u_t = u.transpose(0, 1, 3, 2)  # row @ u[k].T makes the GEMV of u[k] @ column
         u_t_zr, u_t_cand = u_t[:2], u_t[2]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from absalab import autograd as ag
 from absalab.autograd import ShapeError, Tensor, tensor
+from bitwise import assert_same_bits
 from crf_oracle import logsumexp
 from recurrence_oracle import sigmoid
 
@@ -182,6 +183,22 @@ def test_sigmoid_saturates_without_overflow():
     out = ag.logistic(np.array([-500.0, 500.0]))
     assert np.all(np.isfinite(out))
     npt.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+
+
+def _two_divide_logistic(x):
+    """The reference: `ag.logistic` in its earlier form, both quotients and then a cast."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d).astype(x.dtype, copy=False)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_logistic_keeps_the_bits_of_the_two_divide_form(dtype):
+    magnitudes = np.concatenate([np.geomspace(1e-8, 1e3, 4001),
+                                 10.0 ** np.random.default_rng(0).uniform(-8, 3, 4000)])
+    x = np.concatenate([magnitudes, -magnitudes, [0.0, -0.0, np.inf, -np.inf]]).astype(dtype)
+    for shaped in (x, x[:3 * 128].reshape(3, 128)):  # the LSTM's stacked gates are (3, hidden)
+        assert_same_bits(ag.logistic(shaped), _two_divide_logistic(shaped), f"logistic {np.dtype(dtype)}")
 
 
 def test_graph_reuse_accumulates(rng):

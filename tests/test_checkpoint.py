@@ -197,6 +197,15 @@ def test_missing_sidecar_is_an_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_undecodable_sidecar_names_its_path(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(1, dtype=np.float32)}, {"task": "alsa"})
+    sidecar = tmp_path / "model.ckpt.meta.json"
+    sidecar.write_bytes(b'{"task": "\xffalsa"}')
+    with pytest.raises(ValueError, match=re.escape(f"{sidecar}: not UTF-8 text: invalid start byte at byte 10")):
+        load_checkpoint(path)
+
+
 def test_malformed_sidecar_names_its_path(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, {"w": np.ones(1, dtype=np.float32)}, {"task": "alsa"})

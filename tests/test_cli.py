@@ -226,6 +226,25 @@ def test_grid_search_command(capsys, fixtures_dir, tmp_path):
     assert rows[0]["rank"] == 1
 
 
+@pytest.mark.parametrize("command", ["train-alsa", "train-ae"])
+def test_training_on_a_non_finite_vector_names_its_file_line_and_token(capsys, fixtures_dir, tmp_path, command):
+    vectors = tmp_path / "vectors.txt"
+    lines = (fixtures_dir / "mini_vectors.txt").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "the 0.1 0.2 0.3 0.4 0.5"
+    vectors.write_text("\n".join(["the 0.1 nan 0.3 0.4 0.5"] + lines[1:]) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, *base_args(fixtures_dir, tmp_path), "--embedding-dim", "5",
+                             "--embeddings-path", str(vectors))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"IngestError: {vectors}: line 1: non-finite vector component for 'the'"}
+
+
+def test_grid_search_command_rejects_a_key_without_values(capsys, fixtures_dir, tmp_path):
+    code, out, err = run_cli(capsys, "grid-search", "--grid", "lr=", *base_args(fixtures_dir, tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": "ConfigError: grid key 'lr' has no values"}
+
+
 def test_cross_domain_command(capsys, fixtures_dir, tmp_path):
     for domain in ("laptop", "restaurant"):
         code, _, err = run_cli(capsys, "train-ae", "--domain", domain,

@@ -85,6 +85,20 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         parse_kv_file(bad)
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr = 0.01\nepochs = 3\n\nlr = 0.02  # a second value\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 4: key 'lr' repeats line 1")):
+        parse_kv_file(cfg)
+
+
+def test_config_file_of_undecodable_bytes_names_the_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"lr = 0.01\nepochs = \xff3\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: not UTF-8 text: invalid start byte at byte 19")):
+        parse_kv_file(cfg)
+
+
 @pytest.mark.parametrize("task", ["ae", "multitask"])
 @pytest.mark.parametrize("input_mode", ["noise", "transfer"])
 def test_config_rejects_input_modes_a_task_ignores(task, input_mode):
@@ -485,6 +499,12 @@ def test_grid_rows_name_the_runs_dev_metric(fixtures_dir, tmp_path):
 def test_grid_requires_nonempty_grid(fixtures_dir, tmp_path):
     with pytest.raises(ConfigError):
         grid_search(tiny_config(fixtures_dir, tmp_path), {})
+
+
+def test_grid_rejects_a_key_without_values(fixtures_dir, tmp_path):
+    with pytest.raises(ConfigError, match="grid key 'lr' has no values"):
+        grid_search(tiny_config(fixtures_dir, tmp_path), {"l2_lambda": [0.0], "lr": []})
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
 
 
 def test_paper_optimum_is_a_representable_grid_point(fixtures_dir, tmp_path):
