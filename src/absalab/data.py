@@ -8,6 +8,7 @@ deterministic; offsets always refer to the original sentence text.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import string
@@ -209,6 +210,22 @@ def _parse_vector(path, lineno: int, components: str) -> np.ndarray:
         raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
 
 
+def _lines_before_undecodable(path, after: int, reason: str) -> tuple[list[tuple[int, str]], str]:
+    """The (line number, line) pairs after line `after` of a file the text
+    reader could not decode, up to its first undecodable line, and the error
+    naming that line. Read again with the bad bytes escaped, so the line
+    breaks are the text reader's."""
+    lines = []
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in itertools.islice(enumerate(fh, start=1), after, None):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as err:
+                return lines, f"{path}: line {lineno}: not UTF-8 text: {err.reason} at byte {err.start}"
+            lines.append((lineno, line))
+    return lines, f"{path}: not UTF-8 text: {reason}"  # decodable now: the file changed while read
+
+
 def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | None = GLOVE_DIM) -> Vocabulary:
     """Load whitespace-separated embedding vectors for the requested tokens.
 
@@ -224,29 +241,34 @@ def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | 
     wanted = {t.lower() for t in vocabulary_tokens}
     found: dict[str, np.ndarray | None] = {}  # None: queued, not yet parsed
     queue: list[tuple[int, str, str]] = []  # wanted lines not yet parsed
+    lineno, undecodable = 0, None
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                width = line.count(" ")  # the newline is not a space
-                if expected_dim is None:
-                    if width < 1:
-                        raise IngestError(f"{path}: line {lineno}: vector has no values")
-                    expected_dim = width
-                if width != expected_dim:
-                    _parse_vectors(path, queue, found)  # its lines come first in the file
-                    raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
-                cut = line.find(" ")
-                token = line[:cut]
-                if token not in wanted or token in found:
-                    continue
-                found[token] = None
-                queue.append((lineno, token, line[cut + 1:].rstrip("\n")))
-                if len(queue) == VECTOR_BATCH:
-                    _parse_vectors(path, queue, found)
-        except UnicodeDecodeError as err:
-            _parse_vectors(path, queue, found)  # a bad line read before the undecodable bytes wins
-            raise IngestError(f"{path}: not UTF-8 text: {err.reason}") from None
-    _parse_vectors(path, queue, found)
+        lines = enumerate(fh, start=1)
+        while lines is not None:
+            try:
+                for lineno, line in lines:
+                    width = line.count(" ")  # the newline is not a space
+                    if expected_dim is None:
+                        if width < 1:
+                            raise IngestError(f"{path}: line {lineno}: vector has no values")
+                        expected_dim = width
+                    if width != expected_dim:
+                        _parse_vectors(path, queue, found)  # its lines come first in the file
+                        raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
+                    cut = line.find(" ")
+                    token = line[:cut]
+                    if token not in wanted or token in found:
+                        continue
+                    found[token] = None
+                    queue.append((lineno, token, line[cut + 1:].rstrip("\n")))
+                    if len(queue) == VECTOR_BATCH:
+                        _parse_vectors(path, queue, found)
+                lines = None
+            except UnicodeDecodeError as err:  # the reader decodes ahead: lines before the bad bytes may be unread
+                lines, undecodable = _lines_before_undecodable(path, lineno, err.reason)
+    _parse_vectors(path, queue, found)  # a bad line before the undecodable bytes wins
+    if undecodable:
+        raise IngestError(undecodable)
     if expected_dim is None:
         raise IngestError(f"{path}: no vectors to take the width from")
     ordered = sorted(found)
@@ -349,12 +371,17 @@ def split_sa_ma(samples: Sequence[AlsaSample]) -> tuple[list[AlsaSample], list[A
 # -- processed-dataset cache --------------------------------------------------------
 
 
+TRAILER_KEY = "sentence_count"  # the dataset cache's last record: {"sentence_count": N}
+
+
 def write_dataset_cache(path, dataset: Dataset) -> None:
     """Line-delimited JSON cache of a preprocessed dataset.
 
     One record per sentence: sentence_id, domain, text, tokens (surface,
     char_start, char_end), bio (list or null), and samples (span start/end,
-    label, polarity name). Field-by-field documentation lives in the README.
+    label, polarity name); then a trailer record, `{"sentence_count": N}`,
+    so a reader can tell a cut file. Field-by-field documentation lives in
+    the README.
     """
     samples_by_sentence: dict[str, list[dict]] = {}
     for s in dataset.samples:
@@ -373,6 +400,7 @@ def write_dataset_cache(path, dataset: Dataset) -> None:
                 "samples": samples_by_sentence.get(sent.sentence_id, []),
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.write(json.dumps({TRAILER_KEY: len(dataset.sentences)}) + "\n")
 
 
 def _typed(values, types: Sequence[type], what: str) -> list:
@@ -390,13 +418,25 @@ def _labelled_span(s: dict) -> tuple[AspectSpan, int]:
 
 
 def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
-    """Inverse of :func:`write_dataset_cache`; a bad record names the file and line."""
+    """Inverse of :func:`write_dataset_cache`; a bad record, a record after
+    the trailer, a wrong count and a missing trailer name the file and line."""
     dataset = Dataset(domain="")
     first_line: dict[str, int] = {}  # sentence id -> line of its first record
+    lineno, trailer_line = 0, None
     with open(path, "rb") as fh:  # decoded line by line, so undecodable bytes have a line
         for lineno, line in enumerate(fh, start=1):
             try:
                 record = json.loads(line.decode("utf-8"))
+                if trailer_line is not None:
+                    raise ValueError(f"record after the trailer on line {trailer_line}")
+                if type(record) is dict and TRAILER_KEY in record:
+                    (count,) = _typed([record[TRAILER_KEY]], (int,), "trailer sentence_count")
+                    if not line.endswith(b"\n"):
+                        raise ValueError("trailer without its newline: the file is cut short")
+                    if count != len(dataset.sentences):
+                        raise ValueError(f"trailer counts {count} sentences, the file has {len(dataset.sentences)}")
+                    trailer_line = lineno
+                    continue
                 tokens = tuple(Token(*_typed(t, (str, int, int), "token")) for t in record["tokens"])
                 dataset.domain, bio = record["domain"], record["bio"]
                 if bio is not None and (type(bio) is not list or len(bio) != len(tokens)
@@ -417,4 +457,6 @@ def read_dataset_cache(path, vocab: Vocabulary) -> Dataset:
             if first != lineno:
                 raise IngestError(f"{path}: line {lineno}: duplicate sentence id {sentence.sentence_id!r} "
                                   f"(first on line {first})")
+    if trailer_line is None:
+        raise IngestError(f"{path}: line {lineno + 1}: no trailer record: the file is cut short")
     return dataset

@@ -99,8 +99,18 @@ class ExperimentConfig:
         return replace(cls(), **_coerce_fields(mapping))
 
 
+class _FileValue(str):
+    """A config value read from a file; `where` is its "<path>: line N", for errors."""
+
+    def __new__(cls, value: str, where: str):
+        self = super().__new__(cls, value)
+        self.where = where
+        return self
+
+
 def parse_kv_file(path) -> dict:
-    """Plain `key = value` config lines, one per key; '#' starts a comment."""
+    """Plain `key = value` config lines, one per key; '#' starts a comment.
+    Each value remembers its line, so a bad key or value names it."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as err:
@@ -115,7 +125,7 @@ def parse_kv_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if line_of.setdefault(key, lineno) != lineno:
             raise ConfigError(f"{path}: line {lineno}: key {key!r} repeats line {line_of[key]}")
-        mapping[key] = value
+        mapping[key] = _FileValue(value, f"{path}: line {lineno}")
     return mapping
 
 
@@ -123,9 +133,14 @@ def _coerce_fields(mapping: dict) -> dict:
     hints = typing.get_type_hints(ExperimentConfig)
     out = {}
     for key, value in mapping.items():
-        if key not in hints:
-            raise ConfigError(f"unknown config key {key!r}")
-        out[key] = _coerce(value, hints[key], key)
+        try:
+            if key not in hints:
+                raise ConfigError(f"unknown config key {key!r}")
+            out[key] = _coerce(value, hints[key], key)
+        except ConfigError as err:
+            if isinstance(value, _FileValue):
+                raise ConfigError(f"{value.where}: {err}") from None
+            raise
     return out
 
 

@@ -284,6 +284,20 @@ def test_config_file_with_flag_override(capsys, fixtures_dir, tmp_path):
     assert len(log_lines) == 1  # override took effect
 
 
+def test_config_file_errors_name_the_file_and_line_and_flags_do_not(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr = 0.01\nepochz = 3\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "train-alsa", "--config", str(cfg))
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": f"ConfigError: {cfg}: line 2: unknown config key 'epochz'"}
+    cfg.write_text("lr = 0.01\nepochs = many\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "train-alsa", "--config", str(cfg))
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"ConfigError: {cfg}: line 2: config key 'epochs': cannot parse 'many' as int"}
+    code, _, err = run_cli(capsys, "train-alsa", "--config", str(cfg), "--epochs", "lots")
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": "ConfigError: config key 'epochs': cannot parse 'lots' as int"}
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)

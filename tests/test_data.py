@@ -359,31 +359,34 @@ def test_load_embeddings_without_a_width_takes_the_first_lines(fixtures_dir, tmp
 
 def _reference_load_embeddings(path, vocabulary_tokens, expected_dim):
     """The per-line loader the batched one replaced: `float()` on every
-    component of a wanted line, errors raised as the line is read."""
+    component of a wanted line, each line decoded on its own (split at
+    \\n, \\r\\n or \\r, as the text reader splits), errors raised as the
+    line is read."""
     wanted = {t.lower() for t in vocabulary_tokens}
     found = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                width = line.count(" ")
-                if expected_dim is None:
-                    if width < 1:
-                        raise IngestError(f"{path}: line {lineno}: vector has no values")
-                    expected_dim = width
-                if width != expected_dim:
-                    raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
-                token = line.partition(" ")[0]
-                if token not in wanted or token in found:
-                    continue
-                try:
-                    found[token] = np.asarray([float(x) for x in line.split(" ")[1:]], dtype=np.float32)
-                except ValueError:
-                    raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
-                if not np.isfinite(found[token]).all():
-                    raise IngestError(f"{path}: line {lineno}: non-finite vector component for {token!r}")
-    except UnicodeDecodeError as err:
-        raise IngestError(f"{path}: not UTF-8 text: {err.reason}") from None
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise IngestError(f"{path}: line {lineno}: not UTF-8 text: {err.reason} at byte {err.start}") from None
+        width = line.count(" ")
+        if expected_dim is None:
+            if width < 1:
+                raise IngestError(f"{path}: line {lineno}: vector has no values")
+            expected_dim = width
+        if width != expected_dim:
+            raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
+        token = line.partition(" ")[0]
+        if token not in wanted or token in found:
+            continue
+        try:
+            found[token] = np.asarray([float(x) for x in line.split(" ")[1:]], dtype=np.float32)
+        except ValueError:
+            raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
+        if not np.isfinite(found[token]).all():
+            raise IngestError(f"{path}: line {lineno}: non-finite vector component for {token!r}")
     if expected_dim is None:
         raise IngestError(f"{path}: no vectors to take the width from")
     ordered = sorted(found)
@@ -533,7 +536,24 @@ def test_load_embeddings_reports_a_bad_line_before_undecodable_bytes(tmp_path):
         IngestError, f"{vectors}: line 2: non-numeric vector component")
     vectors.write_bytes(b"the 0.1 0.2\n\xff 0.1 0.2\n")
     assert _assert_same_as_reference(vectors, ["the"], 2) == (
-        IngestError, f"{vectors}: not UTF-8 text: invalid start byte")
+        IngestError, f"{vectors}: line 2: not UTF-8 text: invalid start byte at byte 0")
+
+
+@pytest.mark.parametrize("filler", [0, 2000])  # in the first decoded chunk, or far past it
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_embeddings_reports_the_first_of_a_width_error_and_undecodable_bytes(tmp_path, filler, newline):
+    vectors = tmp_path / "vectors.txt"
+    head = newline.join(["the 0.1 0.2"] + _filler_lines(filler)) + newline
+    short, undecodable = b"short 0.1" + newline.encode(), b"caf\xc3 0.1 0.2" + newline.encode()
+    for lines, expected in (([short, undecodable], "vector has 1 values, expected 2"),
+                            ([undecodable, short], "not UTF-8 text: invalid continuation byte at byte 3")):
+        vectors.write_bytes(head.encode("utf-8") + b"".join(lines) + b"ok 0.1 0.2" + newline.encode())
+        for expected_dim in (2, None):
+            assert _assert_same_as_reference(vectors, ["the", "short", "caf"], expected_dim) == (
+                IngestError, f"{vectors}: line {filler + 2}: {expected}")
+    vectors.write_bytes(head.encode("utf-8") + b"cut 0.1 0.\xe2\x82")  # ends inside a character
+    assert _assert_same_as_reference(vectors, ["the"], 2) == (
+        IngestError, f"{vectors}: line {filler + 2}: not UTF-8 text: unexpected end of data at byte 10")
 
 
 def test_load_embeddings_reports_an_empty_one_wide_vector(tmp_path):
@@ -699,19 +719,41 @@ def _read_cache_or_error(path, vocab):
 def test_dataset_cache_cut_at_any_byte_loads_or_names_the_file(tmp_path, laptop_train_xml):
     path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
     whole = path.read_bytes()
-    ends = {0} | {i + 1 for i, byte in enumerate(whole) if byte == ord("\n")}
-    for cut in range(len(whole)):
+    assert json.loads(lines[-1]) == {"sentence_count": 6} and len(lines) == 7
+    for cut in range(len(whole)):  # a line's end and just before its newline included
         path.write_bytes(whole[:cut])
-        outcome = _read_cache_or_error(path, vocab)
-        # A known limitation: a cut at a line's end, or just before its newline,
-        # reads as a shorter cache, because no trailer record counts the lines.
-        if cut in ends or cut + 1 in ends:
-            assert [s.sentence_id for s in outcome.sentences] == [json.loads(line)["sentence_id"]
-                                                                    for line in whole[:cut].splitlines()]
-        else:
-            assert isinstance(outcome, IngestError), cut
-    path.write_bytes(whole[:whole.index(b"\n", len(whole) // 2) + 1])
-    assert len(read_dataset_cache(path, vocab).sentences) == 3 == len(lines) // 2  # 3 of the 6 sentences
+        assert isinstance(_read_cache_or_error(path, vocab), IngestError), cut
+    path.write_bytes(whole[:whole.index(b"\n", len(whole) // 2) + 1])  # 3 of the 6 sentences
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 4: no trailer record: the file is cut short")):
+        read_dataset_cache(path, vocab)
+    path.write_bytes(whole[:-1])
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 7: malformed record: trailer without its newline")):
+        read_dataset_cache(path, vocab)
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda lines: lines[:2] + lines[3:], "line 6: malformed record: trailer counts 6 sentences, the file has 5"),
+    (lambda lines: lines[:-1] + ['{"sentence_count": 7}'], "line 7: malformed record: trailer counts 7 sentences"),
+    (lambda lines: lines[:-1] + ['{"sentence_count": 6.0}'],
+     "line 7: malformed record: trailer sentence_count must be [int], got [6.0]"),
+    (lambda lines: lines + [lines[1]], "line 8: malformed record: record after the trailer on line 7"),
+    (lambda lines: lines + [lines[-1]], "line 8: malformed record: record after the trailer on line 7"),
+    (lambda lines: lines[:-1], "line 7: no trailer record: the file is cut short"),
+    (lambda lines: [], "line 1: no trailer record: the file is cut short"),
+], ids=["dropped-record", "count-too-high", "float-count", "record-after", "second-trailer", "no-trailer", "empty"])
+def test_dataset_cache_trailer_must_count_the_sentences_and_end_the_file(tmp_path, laptop_train_xml, edit, problem):
+    path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
+    path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    with pytest.raises(IngestError, match=re.escape(f"{path}: {problem}")):
+        read_dataset_cache(path, vocab)
+
+
+def test_dataset_cache_of_no_sentences_is_its_trailer(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    write_dataset_cache(path, Dataset(domain="laptop"))
+    assert path.read_text(encoding="utf-8") == '{"sentence_count": 0}\n'
+    loaded = read_dataset_cache(path, Vocabulary.random(["the"], dim=4, seed=0))
+    assert (loaded.sentences, loaded.samples) == ([], [])
 
 
 _INVALID_UTF8 = (b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xc0\xaf", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")
@@ -745,15 +787,16 @@ def test_dataset_cache_bad_bio_names_file_and_line(tmp_path, bio):
     path = tmp_path / "cache.jsonl"
     ok = {"sentence_id": "s1", "domain": "laptop", "text": "a b c", "bio": None, "samples": [],
           "tokens": [["a", 0, 1], ["b", 2, 3], ["c", 4, 5]]}
-    path.write_text(json.dumps(ok) + "\n" + json.dumps({**ok, "sentence_id": "s2", "bio": bio}) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(ok) + "\n" + json.dumps({**ok, "sentence_id": "s2", "bio": bio}) + "\n"
+                    + CACHE_TRAILER.format(2), encoding="utf-8")
     vocab = Vocabulary.random(["a", "b", "c"], dim=4, seed=0)
     with pytest.raises(IngestError, match=r"cache\.jsonl: line 2: malformed record: bio must be null or one B/I/O"):
         read_dataset_cache(path, vocab)
-    path.write_text(json.dumps({**ok, "bio": ["B", "I", "O"]}) + "\n", encoding="utf-8")
+    path.write_text(json.dumps({**ok, "bio": ["B", "I", "O"]}) + "\n" + CACHE_TRAILER.format(1), encoding="utf-8")
     assert read_dataset_cache(path, vocab).sentences[0].bio == ["B", "I", "O"]
 
 
+CACHE_TRAILER = '{{"sentence_count": {}}}\n'
 CACHE_RECORD = {"sentence_id": "s1", "domain": "laptop", "text": "the battery", "bio": ["O", "B"],
                 "tokens": [["the", 0, 3], ["battery", 4, 11]],
                 "samples": [{"start": 1, "end": 1, "label": 1, "polarity": "negative"}]}
@@ -774,7 +817,7 @@ MISTYPED_RECORDS = {
 
 def test_dataset_cache_reads_its_example_record(tmp_path):
     path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps(CACHE_RECORD) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(CACHE_RECORD) + "\n" + CACHE_TRAILER.format(1), encoding="utf-8")
     loaded = read_dataset_cache(path, Vocabulary.random(["the", "battery"], dim=4, seed=0))
     assert loaded.sentences[0].tokens == (Token("the", 0, 3), Token("battery", 4, 11))
     assert [(s.span, s.label) for s in loaded.samples] == [(AspectSpan(1, 1), 1)]
@@ -793,9 +836,9 @@ def test_dataset_cache_rejects_a_mistyped_record(tmp_path, fields, problem):
 def test_dataset_cache_rejects_a_duplicate_sentence_id(tmp_path, laptop_train_xml):
     path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
     record = json.loads(lines[1])
-    lines.append(json.dumps(record))
+    lines.insert(-1, json.dumps(record))  # before the trailer
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(IngestError, match=re.escape(f"{path}: line {len(lines)}: duplicate sentence id "
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line {len(lines) - 1}: duplicate sentence id "
                                                     f"{record['sentence_id']!r} (first on line 2)")):
         read_dataset_cache(path, vocab)
 

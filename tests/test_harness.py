@@ -92,6 +92,22 @@ def test_config_file_rejects_a_repeated_key(tmp_path):
         parse_kv_file(cfg)
 
 
+def test_config_file_errors_name_the_file_and_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr = 0.01\nepochz = 3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 2: unknown config key 'epochz'")):
+        ExperimentConfig.from_mapping(parse_kv_file(cfg))
+    cfg.write_text("lr = 0.01\n# runs\n\nepochs = many\ndomain = restaurant\nae_domain =\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 4: config key 'epochs': cannot parse 'many' as int")):
+        ExperimentConfig.from_mapping(parse_kv_file(cfg))
+    # a key set again outside the file (as a CLI flag does) is no longer the file's
+    with pytest.raises(ConfigError, match=r"^config key 'epochs': cannot parse 'lots' as int$"):
+        ExperimentConfig.from_mapping({**parse_kv_file(cfg), "epochs": "lots"})
+    config = ExperimentConfig.from_mapping({**parse_kv_file(cfg), "epochs": "2"})
+    assert (config.lr, config.epochs, config.domain, config.ae_domain) == (0.01, 2, "restaurant", None)
+    assert type(config.domain) is str  # the value, not the line it came from
+
+
 def test_config_file_of_undecodable_bytes_names_the_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"lr = 0.01\nepochs = \xff3\n")
