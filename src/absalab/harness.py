@@ -112,7 +112,7 @@ def parse_kv_file(path) -> dict:
     """Plain `key = value` config lines, one per key; '#' starts a comment.
     Each value remembers its line, so a bad key or value names it."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")  # read_text made \r and \r\n "\n"
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not UTF-8 text: {err.reason} at byte {err.start}") from None
     mapping, line_of = {}, {}

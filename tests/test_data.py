@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import re
 import string
@@ -569,6 +571,33 @@ def test_load_embeddings_rejects_a_width_below_one(fixtures_dir):
         load_embeddings(fixtures_dir / "mini_vectors.txt", ["the"], expected_dim=0)
 
 
+def test_load_embeddings_breaks_lines_only_at_newlines(tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    lines = ["caf\u00e9\x85 0.1 0.2", "a\u2028b 0.3 0.4", "c\x85d\u2029 0.5 0.6"] + _filler_lines(3)
+    vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tokens = ["caf\u00e9\x85", "a\u2028b", "f1", "zzz"]
+    vocab = load_embeddings(vectors, tokens, expected_dim=2)
+    npt.assert_array_equal(vocab.matrix[vocab.id_of("a\u2028b")], np.float32([0.3, 0.4]))
+    for expected_dim in (2, None):
+        assert len(_assert_same_as_reference(vectors, tokens, expected_dim)) == 3  # loaded, not an error
+
+
+def test_load_embeddings_opens_its_file_once(tmp_path, monkeypatch):
+    vectors = tmp_path / "vectors.txt"
+    head = "\n".join(["the 0.1 0.2"] + _filler_lines(2000)) + "\n"
+    vectors.write_bytes(head.encode("utf-8") + b"caf\xc3 0.1 0.2\n")
+    opened = []
+
+    def counting_open(file, *args, real_open=builtins.open, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    with pytest.raises(IngestError, match=re.escape(f"{vectors}: line 2002: not UTF-8 text: invalid continuation")):
+        load_embeddings(vectors, ["the"], expected_dim=2)
+    assert opened == [vectors]
+
+
 def test_vocabulary_ids_are_dense():
     vocab = Vocabulary.random(["b", "a", "c"], dim=4, seed=1)
     ids = sorted(set(vocab.token_to_id.values()) | {vocab.unk_id})
@@ -661,6 +690,13 @@ def _cache_lines(tmp_path, laptop_train_xml):
     return path, vocab, path.read_text(encoding="utf-8").splitlines()
 
 
+def _cache_text(*records) -> str:
+    """A hand-written cache: one JSON line per record, then the trailer with their count and sha256."""
+    body = "".join(json.dumps(record) + "\n" for record in records)
+    trailer = {"sentence_count": len(records), "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest()}
+    return body + json.dumps(trailer) + "\n"
+
+
 def test_dataset_cache_keeps_skipped_sentence_count(tmp_path):
     xml = """<sentences><sentence id="o1"><text>great battery life here</text><aspectTerms>
       <aspectTerm term="battery life" polarity="positive" from="6" to="18"/>
@@ -719,7 +755,7 @@ def _read_cache_or_error(path, vocab):
 def test_dataset_cache_cut_at_any_byte_loads_or_names_the_file(tmp_path, laptop_train_xml):
     path, vocab, lines = _cache_lines(tmp_path, laptop_train_xml)
     whole = path.read_bytes()
-    assert json.loads(lines[-1]) == {"sentence_count": 6} and len(lines) == 7
+    assert json.loads(lines[-1])["sentence_count"] == 6 and len(lines) == 7
     for cut in range(len(whole)):  # a line's end and just before its newline included
         path.write_bytes(whole[:cut])
         assert isinstance(_read_cache_or_error(path, vocab), IngestError), cut
@@ -751,7 +787,7 @@ def test_dataset_cache_trailer_must_count_the_sentences_and_end_the_file(tmp_pat
 def test_dataset_cache_of_no_sentences_is_its_trailer(tmp_path):
     path = tmp_path / "cache.jsonl"
     write_dataset_cache(path, Dataset(domain="laptop"))
-    assert path.read_text(encoding="utf-8") == '{"sentence_count": 0}\n'
+    assert path.read_text(encoding="utf-8") == _cache_text()
     loaded = read_dataset_cache(path, Vocabulary.random(["the"], dim=4, seed=0))
     assert (loaded.sentences, loaded.samples) == ([], [])
 
@@ -761,13 +797,24 @@ _INVALID_UTF8 = (b"\xff", b"\xfe", b"\x80", b"\xc3", b"\xc0\xaf", b"\xe2\x82", b
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_dataset_cache_with_flipped_bytes_loads_or_names_the_file(tmp_path_factory, laptop_train_xml, data):
+def test_dataset_cache_with_flipped_bytes_is_refused_by_name(tmp_path_factory, laptop_train_xml, data):
     path, vocab, _ = _cache_lines(tmp_path_factory.mktemp("cache"), laptop_train_xml)
     damaged = bytearray(path.read_bytes())
-    for _ in range(data.draw(st.integers(1, 4), label="flips")):
-        damaged[data.draw(st.integers(0, len(damaged) - 1), label="at")] ^= data.draw(st.integers(1, 255), label="mask")
+    for at in data.draw(st.lists(st.integers(0, len(damaged) - 1), min_size=1, max_size=4, unique=True), label="at"):
+        damaged[at] ^= data.draw(st.integers(1, 255), label="mask")
     path.write_bytes(bytes(damaged))
-    _read_cache_or_error(path, vocab)
+    assert isinstance(_read_cache_or_error(path, vocab), IngestError)
+
+
+def test_dataset_cache_with_a_flipped_letter_in_a_text_names_the_trailer(tmp_path, laptop_train_xml):
+    path, vocab, _ = _cache_lines(tmp_path, laptop_train_xml)
+    whole = path.read_bytes()
+    at = whole.index(b'"text": "', whole.index(b"\n")) + len(b'"text": "')  # in the second record
+    assert chr(whole[at]).isalpha()
+    path.write_bytes(whole[:at] + bytes([whole[at] ^ 0x20]) + whole[at + 1:])  # the letter's other case
+    with pytest.raises(IngestError, match=re.escape(f"{path}: line 7: malformed record: trailer does not match the "
+                                                    'records: expected {"sentence_count": 6, "sha256": "')):
+        read_dataset_cache(path, vocab)
 
 
 @settings(max_examples=150, deadline=None)
@@ -787,16 +834,14 @@ def test_dataset_cache_bad_bio_names_file_and_line(tmp_path, bio):
     path = tmp_path / "cache.jsonl"
     ok = {"sentence_id": "s1", "domain": "laptop", "text": "a b c", "bio": None, "samples": [],
           "tokens": [["a", 0, 1], ["b", 2, 3], ["c", 4, 5]]}
-    path.write_text(json.dumps(ok) + "\n" + json.dumps({**ok, "sentence_id": "s2", "bio": bio}) + "\n"
-                    + CACHE_TRAILER.format(2), encoding="utf-8")
+    path.write_text(_cache_text(ok, {**ok, "sentence_id": "s2", "bio": bio}), encoding="utf-8")
     vocab = Vocabulary.random(["a", "b", "c"], dim=4, seed=0)
     with pytest.raises(IngestError, match=r"cache\.jsonl: line 2: malformed record: bio must be null or one B/I/O"):
         read_dataset_cache(path, vocab)
-    path.write_text(json.dumps({**ok, "bio": ["B", "I", "O"]}) + "\n" + CACHE_TRAILER.format(1), encoding="utf-8")
+    path.write_text(_cache_text({**ok, "bio": ["B", "I", "O"]}), encoding="utf-8")
     assert read_dataset_cache(path, vocab).sentences[0].bio == ["B", "I", "O"]
 
 
-CACHE_TRAILER = '{{"sentence_count": {}}}\n'
 CACHE_RECORD = {"sentence_id": "s1", "domain": "laptop", "text": "the battery", "bio": ["O", "B"],
                 "tokens": [["the", 0, 3], ["battery", 4, 11]],
                 "samples": [{"start": 1, "end": 1, "label": 1, "polarity": "negative"}]}
@@ -817,7 +862,7 @@ MISTYPED_RECORDS = {
 
 def test_dataset_cache_reads_its_example_record(tmp_path):
     path = tmp_path / "cache.jsonl"
-    path.write_text(json.dumps(CACHE_RECORD) + "\n" + CACHE_TRAILER.format(1), encoding="utf-8")
+    path.write_text(_cache_text(CACHE_RECORD), encoding="utf-8")
     loaded = read_dataset_cache(path, Vocabulary.random(["the", "battery"], dim=4, seed=0))
     assert loaded.sentences[0].tokens == (Token("the", 0, 3), Token("battery", 4, 11))
     assert [(s.span, s.label) for s in loaded.samples] == [(AspectSpan(1, 1), 1)]

@@ -108,6 +108,17 @@ def test_config_file_errors_name_the_file_and_line(tmp_path):
     assert type(config.domain) is str  # the value, not the line it came from
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_config_file_breaks_lines_only_at_newlines(tmp_path, newline):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(f"run_name = a\x85b{newline}epochz = 2{newline}".encode("utf-8"))
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 2: unknown config key 'epochz'")):
+        ExperimentConfig.from_mapping(parse_kv_file(cfg))
+    for inner in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        cfg.write_bytes(f"run_name = a{inner}b{newline}".encode("utf-8"))
+        assert ExperimentConfig.from_mapping(parse_kv_file(cfg)).run_name == f"a{inner}b"
+
+
 def test_config_file_of_undecodable_bytes_names_the_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"lr = 0.01\nepochs = \xff3\n")
