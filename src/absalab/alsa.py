@@ -1,7 +1,8 @@
 """Aspect-level sentiment classifiers and their widened-input variants.
 
 Three architectures (context LSTM pair, attention LSTM, interactive
-attention) each map (word matrix, aspect span) to three class logits.
+attention) each map (word matrix, aspect span) to three class logits
+and their attention weights by name.
 Input widening concatenates per-token auxiliary rows onto the word
 vectors: learned transfer rows (``transfer``), or fixed seeded noise of
 the same width (``noise``). With width 0 the widened graph degenerates
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .layers import (
     additive_attention,
     append_to_rows,
     classify,
+    embed,
     max_pool_rows,
     run_lstm,
 )
@@ -37,6 +39,7 @@ POSITIVE, NEGATIVE, NEUTRAL = 0, 1, 2
 LABEL_NAMES = ("positive", "negative", "neutral")
 POLARITY_TO_LABEL = {"positive": POSITIVE, "negative": NEGATIVE, "neutral": NEUTRAL}
 NUM_CLASSES = 3
+INPUT_MODES = ("plain", "transfer", "noise")
 
 
 @dataclass(frozen=True)
@@ -73,6 +76,10 @@ class InputMode:
     extra_dim: int = 0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.variant not in INPUT_MODES:
+            raise ValueError(f"unknown input mode {self.variant!r}")
+
     @classmethod
     def plain(cls) -> "InputMode":
         return cls("plain")
@@ -92,9 +99,8 @@ def _noise_seed(base_seed: int, sentence_id: str) -> int:
 
 def build_input(sample: AlsaSample, mode: InputMode, embeddings: np.ndarray) -> tuple[Tensor, Tensor]:
     """Word matrix (n x d_in) and its aspect rows (p x d_in) for one sample."""
-    matrix = np.asarray(embeddings)
-    word_rows = matrix[np.asarray(sample.token_ids, dtype=np.intp)]
-    n = word_rows.shape[0]
+    rows = embed(sample.token_ids, embeddings).data
+    n = rows.shape[0]
     if mode.variant == "transfer":
         if mode.source is None or sample.sentence_id not in mode.source:
             raise KeyError(f"no cached transfer rows for sentence {sample.sentence_id!r}")
@@ -104,20 +110,9 @@ def build_input(sample: AlsaSample, mode: InputMode, embeddings: np.ndarray) -> 
                              f"expected {(n, mode.extra_dim)}")
     elif mode.variant == "noise":
         extra = np.random.default_rng(_noise_seed(mode.seed, sample.sentence_id)).standard_normal((n, mode.extra_dim))
-    elif mode.variant != "plain":
-        raise ValueError(f"unknown input mode {mode.variant!r}")
-    full = word_rows if mode.variant == "plain" else np.concatenate(
-        [word_rows, extra.astype(word_rows.dtype, copy=False)], axis=1)
-    word_matrix = Tensor(full)
-    aspect_rows = Tensor(full[sample.span.start : sample.span.end + 1])
-    return word_matrix, aspect_rows
-
-
-def aspect_mean(aspect_rows: Tensor) -> Tensor:
-    """Mean of the aspect-term rows, the shared aspect representation."""
-    if aspect_rows.data.shape[0] == 0:
-        raise ValueError("aspect_mean requires at least one row")
-    return aspect_rows.mean(axis=0)
+    if mode.variant != "plain":
+        rows = np.concatenate([rows, extra.astype(rows.dtype, copy=False)], axis=1)
+    return Tensor(rows), Tensor(rows[sample.span.start : sample.span.end + 1])
 
 
 # -- architectures ----------------------------------------------------------------
@@ -127,7 +122,6 @@ def aspect_mean(aspect_rows: Tensor) -> Tensor:
 class TcLstmModel:
     """Two context LSTMs around the target, aspect mean appended to inputs."""
 
-    architecture: ClassVar[str] = "tclstm"
     lstm_left: CellParams
     lstm_right: CellParams
     head: HeadParams
@@ -137,7 +131,6 @@ class TcLstmModel:
 class AtaeModel:
     """Single LSTM over aspect-appended words with additive attention."""
 
-    architecture: ClassVar[str] = "atae"
     lstm: CellParams
     attention: AttentionParams
     head: HeadParams
@@ -147,7 +140,6 @@ class AtaeModel:
 class IanModel:
     """Separate aspect/sentence LSTMs attending over each other's states."""
 
-    architecture: ClassVar[str] = "ian"
     lstm_aspect: CellParams
     lstm_sentence: CellParams
     attn_aspect: AttentionParams
@@ -185,60 +177,59 @@ def create_alsa_model(store: ParamStore, architecture: str, d_in: int, hidden: i
     raise ValueError(f"unknown architecture {architecture!r}")
 
 
-def tclstm_forward(model: TcLstmModel, word_matrix: Tensor, span: AspectSpan) -> Tensor:
-    """Left/right context LSTM final states, concatenated into the head.
+def _aspect_rows(word_matrix: Tensor, span: AspectSpan) -> Tensor:
+    """The aspect's rows of the word matrix; refuses a span past its last row."""
+    n = word_matrix.data.shape[0]
+    if span.end >= n:
+        raise ValueError(f"span {span} outside sentence of {n} rows")
+    return word_matrix[span.start : span.end + 1]
+
+
+def tclstm_forward(model: TcLstmModel, word_matrix: Tensor, span: AspectSpan) -> tuple[Tensor, dict[str, Tensor]]:
+    """Left/right context LSTM final states, concatenated into the head;
+    returns (logits, {}), as TC-LSTM has no attention.
 
     Contexts exclude the target words; each context row is concatenated
     with the aspect mean before entering its LSTM. The left LSTM reads from
     the sentence start toward the aspect, the right one from the sentence
     end toward it. An empty context contributes a zero final state.
     """
+    target = _aspect_rows(word_matrix, span).mean(axis=0)
     n = word_matrix.data.shape[0]
-    if span.end >= n:
-        raise ValueError(f"span {span} outside sentence of {n} rows")
-    target = aspect_mean(word_matrix[span.start : span.end + 1])
     contexts = ((word_matrix[: span.start], model.lstm_left), (word_matrix[n - 1 : span.end : -1], model.lstm_right))
     finals = [run_lstm(append_to_rows(rows, target), cell)[-1] if rows.data.shape[0]
               else Tensor(np.zeros(cell.hidden_dim, dtype=rows.data.dtype)) for rows, cell in contexts]
-    return classify(ag.concat(finals), model.head)
+    return classify(ag.concat(finals), model.head), {}
 
 
-def atae_forward(model: AtaeModel, word_matrix: Tensor, span: AspectSpan) -> tuple[Tensor, Tensor]:
-    """Attention-pooled LSTM states; returns (logits, alpha over tokens)."""
-    n = word_matrix.data.shape[0]
-    if span.end >= n:
-        raise ValueError(f"span {span} outside sentence of {n} rows")
-    a = aspect_mean(word_matrix[span.start : span.end + 1])
+def atae_forward(model: AtaeModel, word_matrix: Tensor, span: AspectSpan) -> tuple[Tensor, dict[str, Tensor]]:
+    """Attention-pooled LSTM states; returns (logits, {"sentence": alpha over tokens})."""
+    a = _aspect_rows(word_matrix, span).mean(axis=0)
     states = run_lstm(append_to_rows(word_matrix, a), model.lstm)
     alpha, pooled = additive_attention(states, a, model.attention)
-    return classify(pooled, model.head), alpha
+    return classify(pooled, model.head), {"sentence": alpha}
 
 
-def ian_forward(model: IanModel, word_matrix: Tensor, span: AspectSpan) -> tuple[Tensor, Tensor, Tensor]:
-    """Interactive attention; returns (logits, alpha_sentence, alpha_aspect)."""
-    n = word_matrix.data.shape[0]
-    if span.end >= n:
-        raise ValueError(f"span {span} outside sentence of {n} rows")
-    aspect_states = run_lstm(word_matrix[span.start : span.end + 1], model.lstm_aspect)
+def ian_forward(model: IanModel, word_matrix: Tensor, span: AspectSpan) -> tuple[Tensor, dict[str, Tensor]]:
+    """Interactive attention; returns (logits, {"sentence": alpha, "aspect": alpha})."""
+    aspect_states = run_lstm(_aspect_rows(word_matrix, span), model.lstm_aspect)
     sentence_states = run_lstm(word_matrix, model.lstm_sentence)
     pooled_aspect_query = max_pool_rows(aspect_states)
     pooled_sentence_query = max_pool_rows(sentence_states)
     alpha_aspect, aspect_rep = additive_attention(aspect_states, pooled_sentence_query, model.attn_aspect)
     alpha_sentence, sentence_rep = additive_attention(sentence_states, pooled_aspect_query, model.attn_sentence)
     logits = classify(ag.concat([aspect_rep, sentence_rep]), model.head)
-    return logits, alpha_sentence, alpha_aspect
+    return logits, {"sentence": alpha_sentence, "aspect": alpha_aspect}
 
 
 def alsa_forward(model: AlsaModel, word_matrix: Tensor, span: AspectSpan) -> tuple[Tensor, dict[str, Tensor]]:
     """Architecture dispatch; returns (logits, attention vectors by name)."""
     if isinstance(model, TcLstmModel):
-        return tclstm_forward(model, word_matrix, span), {}
+        return tclstm_forward(model, word_matrix, span)
     if isinstance(model, AtaeModel):
-        logits, alpha = atae_forward(model, word_matrix, span)
-        return logits, {"sentence": alpha}
+        return atae_forward(model, word_matrix, span)
     if isinstance(model, IanModel):
-        logits, alpha_sentence, alpha_aspect = ian_forward(model, word_matrix, span)
-        return logits, {"sentence": alpha_sentence, "aspect": alpha_aspect}
+        return ian_forward(model, word_matrix, span)
     raise TypeError(f"not an ALSA model: {type(model).__name__}")
 
 
@@ -265,7 +256,6 @@ class MultitaskModel:
     2 * shared_hidden) in place of word vectors; one loss sums both tasks.
     """
 
-    architecture: ClassVar[str] = "multitask"
     tagger: AeModel
     sentiment: AtaeModel
 
@@ -278,11 +268,10 @@ class MultitaskModel:
 
 
 def multitask_forward(model: MultitaskModel, token_ids: Sequence[int],
-                      span: AspectSpan) -> tuple[Tensor, Tensor, Tensor]:
-    """Both heads over the shared encoding; returns (emissions, logits, alpha)."""
+                      span: AspectSpan) -> tuple[Tensor, Tensor, dict[str, Tensor]]:
+    """Both heads over the shared encoding; returns (emissions, logits, attention by name)."""
     emissions, shared = ae_forward(model.tagger, token_ids)
-    logits, alpha = atae_forward(model.sentiment, shared, span)
-    return emissions, logits, alpha
+    return (emissions, *atae_forward(model.sentiment, shared, span))
 
 
 def multitask_loss(model: MultitaskModel, token_ids: Sequence[int], gold_bio: Sequence[str],

@@ -107,8 +107,10 @@ def _cmd_grid_search(args) -> int:
     for spec in args.grid:
         if "=" not in spec:
             raise ConfigError(f"--grid expects key=v1,v2,... got {spec!r}")
-        key, values = spec.split("=", 1)
-        grid[key.strip()] = [v.strip() for v in values.split(",") if v.strip()]
+        key, values = (part.strip() for part in spec.split("=", 1))
+        if key in grid:
+            raise ConfigError(f"--grid key {key!r} given twice")
+        grid[key] = [v.strip() for v in values.split(",") if v.strip()]
     rows = grid_search(config, grid)
     for rank, row in enumerate(rows, start=1):
         print(json.dumps({"rank": rank, **row}, sort_keys=True))

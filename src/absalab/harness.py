@@ -20,14 +20,13 @@ import numpy as np
 from . import ae as ae_mod
 from . import alsa as alsa_mod
 from . import crf as crf_mod
-from .alsa import AlsaSample, InputMode
+from .alsa import INPUT_MODES, AlsaSample, InputMode
 from .checkpoint import atomic_write, load_archive, load_checkpoint, save_checkpoint
 from .data import Dataset, Vocabulary, build_dataset, collect_tokens, load_embeddings, read_semeval, split_sa_ma
 from .metrics import MetricsReport, macro_f1
 from .optim import AdamConfig, ParamStore, adam_step, forward_backward
 
 TASKS = ("ae", "alsa", "multitask")
-INPUT_MODES = ("plain", "transfer", "noise")
 
 
 class ConfigError(ValueError):
@@ -536,30 +535,34 @@ def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndar
 def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Train one run per Cartesian grid point; rank by dev score.
 
-    Each point runs under the base run name plus its settings, e.g.
-    `atae_laptop_l2_lambda=0.001_lr=0.01`, so no point overwrites another's
-    checkpoints or log. Ties break toward lower l2_lambda, then lower lr.
-    A failed point is recorded with its error message instead of aborting
+    Every value is coerced before any point trains: an unknown key, a value
+    that does not parse, or two values of one key that coerce to the same
+    setting raise `ConfigError`. Each point runs under the base run name
+    plus its settings, e.g. `atae_laptop_l2_lambda=0.001_lr=0.01`, so no
+    point overwrites another's checkpoints or log. Ties break toward lower
+    l2_lambda, then lower lr. A point that fails (a value out of range, a
+    training error) is recorded with its error message instead of aborting
     the sweep.
     """
     if not grid:
         raise ConfigError("grid must name at least one hyper-parameter")
-    keys = sorted(grid)
     points: list[dict] = [{}]
-    for key in keys:
+    for key in sorted(grid):
         if not grid[key]:
             raise ConfigError(f"grid key {key!r} has no values")
-        points = [dict(p, **{key: v}) for p in points for v in grid[key]]
+        values = [_coerce_fields({key: v})[key] for v in grid[key]]
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"grid key {key!r} gives the setting {repeated[0]!r} more than once")
+        points = [dict(p, **{key: v}) for p in points for v in values]
 
     scored = []  # (row, its dev score)
     for point in points:
         row: dict = {"params": point}
         dev = None
         try:
-            coerced = _coerce_fields(point)
-            row["params"] = coerced
-            base = replace(config, **coerced)
-            settings = [f"{key}={value}" for key, value in sorted(coerced.items())]
+            base = replace(config, **point)
+            settings = [f"{key}={value}" for key, value in sorted(point.items())]
             run_config = replace(base, run_name="_".join([base.name, *settings]))
             result = train(run_config)
             dev = row[result.dev_key] = result.best_dev
@@ -573,15 +576,7 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         row, dev = item
         failed = 1 if ("error" in row or dev is None) else 0
         params = row["params"]
-
-        def as_float(key, default):
-            try:
-                return float(params.get(key, default))
-            except (TypeError, ValueError):  # unparseable point recorded as error
-                return float("inf")
-
-        return (failed, -(dev or 0.0), as_float("l2_lambda", config.l2_lambda),
-                as_float("lr", config.lr))
+        return (failed, -(dev or 0.0), params.get("l2_lambda", config.l2_lambda), params.get("lr", config.lr))
 
     return [row for row, _ in sorted(scored, key=sort_key)]
 

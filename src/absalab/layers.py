@@ -164,14 +164,18 @@ def run_lstm(inputs: Tensor, cell: CellParams) -> Tensor:
 
     def backward(grad):
         one_minus, d_g, d_tanh_c = 1.0 - gates[:, :3], 1.0 - gates[:, 3] * gates[:, 3], 1.0 - tanh_c * tanh_c
+        # Gate s of (i, f, o) gets ((left * right) * s) * (1 - s), with left (dc, dc, dh) and right
+        # (g, c_prev, tanh c): one stacked expression per step.
+        right = np.stack([gates[:, 3], cs[:n], tanh_c], axis=1)
+        left = np.empty((3, cell.hidden_dim), dtype=x.dtype)
         dz = np.empty((4, n, cell.hidden_dim), dtype=x.dtype)  # gate, steps before the last-computed
         dh, dc_next = grad[n - 1], -0.0  # -0.0 + v is v, bit for bit: the last step has no later cell
         for j in range(n - 1, -1, -1):
-            d, (i, f, o, g), (one_minus_i, one_minus_f, one_minus_o) = dz[:, n - 1 - j], gates[j], one_minus[j]
+            d, sigmoids = dz[:, n - 1 - j], gates[j, :3]
+            i, f, o = sigmoids
             dc = dc_next + (dh * o) * d_tanh_c[j]
-            np.multiply((dc * g) * i, one_minus_i, out=d[0])
-            np.multiply((dc * cs[j]) * f, one_minus_f, out=d[1])
-            np.multiply((dh * tanh_c[j]) * o, one_minus_o, out=d[2])
+            left[:2], left[2] = dc, dh
+            np.multiply((left * right[j]) * sigmoids, one_minus[j], out=d[:3])
             np.multiply(dc * i, d_g[j], out=d[3])
             dc_next = dc * f
             if j:  # the downstream row, then the recurrent terms in the gate order 3, 0, 1, 2

@@ -13,7 +13,6 @@ from absalab.alsa import (
     _noise_seed,
     alsa_forward,
     alsa_loss,
-    aspect_mean,
     atae_forward,
     build_input,
     create_alsa_model,
@@ -104,19 +103,40 @@ def test_transfer_row_count_mismatch_is_error():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        build_input(sample_of(), InputMode("bogus"), embeddings_of())
+    with pytest.raises(ValueError, match="unknown input mode 'bogus'"):
+        InputMode("bogus")
+
+
+@pytest.mark.parametrize("bad_id", [-1, 10])
+@pytest.mark.parametrize("mode", [InputMode.plain(), InputMode.noise(2, seed=1)], ids=["plain", "noise"])
+def test_token_id_outside_the_embedding_table_is_refused(bad_id, mode):
+    # a negative id would otherwise read a row from the end of the table
+    sample = AlsaSample((0, bad_id, 2), AspectSpan(1, 1), 0, "s0", "laptop")
+    with pytest.raises(IndexError, match=r"token id out of range \[0, 10\)"):
+        build_input(sample, mode, embeddings_of())
+    _, model = model_of("atae")
+    with pytest.raises(IndexError, match=r"token id out of range \[0, 10\)"):
+        alsa_loss(model, sample, mode, embeddings_of())
 
 
 def test_aspect_mean_examples():
-    npt.assert_array_equal(aspect_mean(Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))).data, [0.5, 0.5])
+    # the aspect representation is the mean of the aspect rows
+    npt.assert_array_equal(Tensor(np.array([[1.0, 0.0], [0.0, 1.0]])).mean(axis=0).data, [0.5, 0.5])
     row = np.array([[2.0, 3.0]])
-    npt.assert_array_equal(aspect_mean(Tensor(row)).data, row[0])
+    npt.assert_array_equal(Tensor(row).mean(axis=0).data, row[0])
     m = np.random.default_rng(0).normal(size=(4, 3))
     perm = m[[2, 0, 3, 1]]
-    npt.assert_allclose(aspect_mean(Tensor(m)).data, aspect_mean(Tensor(perm)).data, atol=1e-12)
-    with pytest.raises(ValueError):
-        aspect_mean(Tensor(np.zeros((0, 3))))
+    npt.assert_allclose(Tensor(m).mean(axis=0).data, Tensor(perm).mean(axis=0).data, atol=1e-12)
+    with pytest.raises(ValueError, match="empty reduction"):
+        Tensor(np.zeros((0, 3))).mean(axis=0)
+
+
+@pytest.mark.parametrize("forward", [tclstm_forward, atae_forward, ian_forward])
+def test_forward_refuses_a_span_past_the_last_row(forward):
+    _, model = model_of(forward.__name__.split("_")[0])
+    words, _ = build_input(sample_of(n=3, span=(1, 2)), InputMode.plain(), embeddings_of())
+    with pytest.raises(ValueError, match=r"outside sentence of 3 rows"):
+        forward(model, words, AspectSpan(2, 3))
 
 
 # -- tclstm ------------------------------------------------------------------------------
@@ -128,7 +148,8 @@ def test_tclstm_context_sizes_via_whole_sentence_span():
     store, model = model_of("tclstm")
     emb = embeddings_of()
     words, _ = build_input(sample_of(n=4, span=(0, 3)), InputMode.plain(), emb)
-    logits = tclstm_forward(model, words, AspectSpan(0, 3))
+    logits, attention = tclstm_forward(model, words, AspectSpan(0, 3))
+    assert attention == {}
     npt.assert_allclose(logits.data, model.head.bias.data, atol=1e-12)
 
 
@@ -136,8 +157,8 @@ def test_tclstm_logits_shape_and_determinism():
     store, model = model_of("tclstm")
     emb = embeddings_of()
     words, _ = build_input(sample_of(), InputMode.plain(), emb)
-    a = tclstm_forward(model, words, AspectSpan(1, 2))
-    b = tclstm_forward(model, words, AspectSpan(1, 2))
+    a, _ = tclstm_forward(model, words, AspectSpan(1, 2))
+    b, _ = tclstm_forward(model, words, AspectSpan(1, 2))
     assert a.data.shape == (3,)
     assert a.data.tobytes() == b.data.tobytes()
 
@@ -151,11 +172,11 @@ def test_tclstm_left_context_excludes_target():
     ids_b = (0, 1, 2, 5, 4)  # differs only at position 3
     span = AspectSpan(2, 3)
     words_a, _ = build_input(sample_of(), InputMode.plain(), emb)
-    base = tclstm_forward(model, words_a, span)
+    base, _ = tclstm_forward(model, words_a, span)
     # rebuild words for ids_b but overwrite the aspect rows with ids_a's rows
     rows_b = emb[list(ids_b)].copy()
     rows_b[2:4] = emb[list(ids_a)][2:4]
-    again = tclstm_forward(model, Tensor(rows_b), span)
+    again, _ = tclstm_forward(model, Tensor(rows_b), span)
     npt.assert_allclose(base.data, again.data, atol=1e-12)
 
 
@@ -174,7 +195,7 @@ def test_tclstm_right_lstm_reads_from_the_sentence_end(monkeypatch):
 
     monkeypatch.setattr(alsa, "run_lstm", recording)
     tclstm_forward(model, words, span)
-    target = aspect_mean(words[span.start : span.end + 1])
+    target = words[span.start : span.end + 1].mean(axis=0)
     gates = recurrence_oracle._gate_blocks(model.lstm_right)
 
     def step_loop(rows):
@@ -195,7 +216,9 @@ def test_atae_alpha_normalizes(rng):
     store, model = model_of("atae")
     emb = embeddings_of()
     words, _ = build_input(sample_of(), InputMode.plain(), emb)
-    logits, alpha = atae_forward(model, words, AspectSpan(1, 2))
+    logits, attention = atae_forward(model, words, AspectSpan(1, 2))
+    assert list(attention) == ["sentence"]
+    alpha = attention["sentence"]
     assert logits.data.shape == (3,)
     assert alpha.data.shape == (5,)
     assert abs(alpha.data.sum() - 1.0) < 1e-6
@@ -207,8 +230,8 @@ def test_atae_single_token_alpha_is_one():
     emb = embeddings_of()
     sample = sample_of(n=1, span=(0, 0))
     words, _ = build_input(sample, InputMode.plain(), emb)
-    _, alpha = atae_forward(model, words, sample.span)
-    npt.assert_allclose(alpha.data, [1.0])
+    _, attention = atae_forward(model, words, sample.span)
+    npt.assert_allclose(attention["sentence"].data, [1.0])
 
 
 def test_atae_zero_scoring_vector_gives_uniform_alpha():
@@ -216,8 +239,8 @@ def test_atae_zero_scoring_vector_gives_uniform_alpha():
     model.attention.score.data[...] = 0.0
     emb = embeddings_of()
     words, _ = build_input(sample_of(), InputMode.plain(), emb)
-    _, alpha = atae_forward(model, words, AspectSpan(1, 2))
-    npt.assert_allclose(alpha.data, np.full(5, 0.2), atol=1e-12)
+    _, attention = atae_forward(model, words, AspectSpan(1, 2))
+    npt.assert_allclose(attention["sentence"].data, np.full(5, 0.2), atol=1e-12)
 
 
 # -- ian ----------------------------------------------------------------------------------
@@ -227,7 +250,9 @@ def test_ian_alphas_normalize():
     store, model = model_of("ian")
     emb = embeddings_of()
     words, _ = build_input(sample_of(), InputMode.plain(), emb)
-    logits, alpha_sentence, alpha_aspect = ian_forward(model, words, AspectSpan(1, 2))
+    logits, attention = ian_forward(model, words, AspectSpan(1, 2))
+    assert sorted(attention) == ["aspect", "sentence"]
+    alpha_sentence, alpha_aspect = attention["sentence"], attention["aspect"]
     assert logits.data.shape == (3,)
     assert alpha_sentence.data.shape == (5,)
     assert alpha_aspect.data.shape == (2,)
@@ -240,9 +265,9 @@ def test_ian_single_word_sentence_and_aspect():
     emb = embeddings_of()
     sample = sample_of(n=1, span=(0, 0))
     words, _ = build_input(sample, InputMode.plain(), emb)
-    _, alpha_sentence, alpha_aspect = ian_forward(model, words, sample.span)
-    npt.assert_allclose(alpha_sentence.data, [1.0])
-    npt.assert_allclose(alpha_aspect.data, [1.0])
+    _, attention = ian_forward(model, words, sample.span)
+    npt.assert_allclose(attention["sentence"].data, [1.0])
+    npt.assert_allclose(attention["aspect"].data, [1.0])
 
 
 # -- shared properties -----------------------------------------------------------------------
@@ -305,11 +330,11 @@ def test_multitask_joint_loss_is_sum_of_parts():
     ids = [0, 2, 4, 6]
     bio = ["O", "B", "I", "O"]
     span = AspectSpan(1, 2)
-    emissions, logits, alpha = multitask_forward(model, ids, span)
+    emissions, logits, attention = multitask_forward(model, ids, span)
     separate = crf_nll(emissions, bio, model.tagger.crf).item() + ag.cross_entropy(logits, 1).item()
     joint = multitask_loss(model, ids, bio, span, 1).item()
     assert joint == pytest.approx(separate, abs=1e-9)
-    assert abs(alpha.data.sum() - 1.0) < 1e-6
+    assert abs(attention["sentence"].data.sum() - 1.0) < 1e-6
 
 
 def test_multitask_shared_encoder_gets_gradient_from_either_head():

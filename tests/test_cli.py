@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -245,6 +246,27 @@ def test_grid_search_command_rejects_a_key_without_values(capsys, fixtures_dir, 
     assert json.loads(err.strip().splitlines()[-1]) == {"error": "ConfigError: grid key 'lr' has no values"}
 
 
+def test_grid_search_command_refuses_a_repeated_key(capsys, fixtures_dir, tmp_path):
+    code, out, err = run_cli(capsys, "grid-search", "--grid", "lr=0.001", "--grid", " lr =0.002",
+                             *base_args(fixtures_dir, tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": "ConfigError: --grid key 'lr' given twice"}
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("lrr=0.001,0.002", "unknown config key 'lrr'"),
+    ("lr=0.001,fast", "config key 'lr': cannot parse 'fast' as float"),
+    ("lr=0.001,1e-3", "grid key 'lr' gives the setting 0.001 more than once"),
+])
+def test_grid_search_command_checks_every_value_before_training(capsys, fixtures_dir, tmp_path, spec, error):
+    code, out, err = run_cli(capsys, "grid-search", "--grid", "l2_lambda=0,0.001", "--grid", spec,
+                             *base_args(fixtures_dir, tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": f"ConfigError: {error}"}
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
 def test_cross_domain_command(capsys, fixtures_dir, tmp_path):
     for domain in ("laptop", "restaurant"):
         code, _, err = run_cli(capsys, "train-ae", "--domain", domain,
@@ -300,12 +322,16 @@ def test_config_file_errors_name_the_file_and_line_and_flags_do_not(capsys, tmp_
 
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    lines = [line.strip() for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
-             for line in block.replace("\\\n", " ").splitlines()]
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)  # the first block; the demos follow
+    lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("absalab ")]
-    assert commands
+    assert len(commands) == 11
     for argv in commands:
-        build_parser().parse_args(argv)  # argparse exits on an unknown flag or missing argument
+        args = build_parser().parse_args(argv)  # argparse exits on an unknown flag or missing argument
+        assert args.command == argv[0]
+    subcommands, = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv in commands} == set(subcommands)  # every subcommand has an example
 
 
 def test_training_is_bit_identical_with_one_or_two_blas_threads(fixtures_dir, tmp_path):

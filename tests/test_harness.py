@@ -534,6 +534,18 @@ def test_grid_rejects_a_key_without_values(fixtures_dir, tmp_path):
     assert not (tmp_path / "ckpt").exists()  # nothing trained
 
 
+@pytest.mark.parametrize("grid, error", [
+    ({"lr": ["0.001", "1e-3"]}, "grid key 'lr' gives the setting 0.001 more than once"),
+    ({"epochs": [1, "01"]}, "grid key 'epochs' gives the setting 1 more than once"),
+    ({"lr": [0.01], "l2_lambda": ["0", "-0.0"]}, "grid key 'l2_lambda' gives the setting -0.0 more than once"),
+    ({"lr": [0.01], "lrr": [0.01]}, "unknown config key 'lrr'"),
+])
+def test_grid_refuses_a_bad_grid_before_training(fixtures_dir, tmp_path, grid, error):
+    with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+        grid_search(tiny_config(fixtures_dir, tmp_path), grid)
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
 def test_paper_optimum_is_a_representable_grid_point(fixtures_dir, tmp_path):
     config = tiny_config(fixtures_dir, tmp_path / "grid4", dev_fraction=0.2, epochs=1)
     rows = grid_search(config, {"lr": [0.001], "l2_lambda": [0.001]})

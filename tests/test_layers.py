@@ -61,8 +61,9 @@ def test_embed_repeated_ids_give_identical_rows(rng):
 
 
 def test_embed_out_of_range_errors():
-    with pytest.raises(IndexError):
-        embed([3], np.zeros((3, 2)))
+    for ids in ([3], [-1], [0, -1], [-(2 ** 62), 1], [0, 2 ** 62]):
+        with pytest.raises(IndexError, match=r"token id out of range \[0, 3\)"):
+            embed(ids, np.zeros((3, 2)))
 
 
 # -- GRU --------------------------------------------------------------------------
