@@ -147,7 +147,7 @@ def _cmd_ingest(args) -> int:
     """Parse one XML file and print the class/SA/MA distribution."""
     parsed = read_semeval(args.xml)
     if args.embeddings:
-        vocab = load_embeddings(args.embeddings, collect_tokens(parsed), expected_dim=None)
+        vocab = load_embeddings(args.embeddings, collect_tokens(parsed))
     else:
         vocab = Vocabulary.random(collect_tokens(parsed), dim=16, seed=0)
     dataset = build_dataset(parsed, args.domain, vocab)

@@ -23,7 +23,6 @@ from .ae import AspectSpan, encode_spans
 from .alsa import LABEL_NAMES, POLARITY_TO_LABEL, AlsaSample
 from .checkpoint import atomic_write
 
-GLOVE_DIM = 300
 UNK_INIT_RANGE = 0.25
 UNK_SEED = 13
 RANDOM_INIT_RANGE = 0.5  # rows of Vocabulary.random
@@ -210,18 +209,16 @@ def _parse_vector(path, lineno: int, components: str) -> np.ndarray:
         raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
 
 
-def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | None = GLOVE_DIM) -> Vocabulary:
+def load_embeddings(path, vocabulary_tokens: Iterable[str]) -> Vocabulary:
     """Load whitespace-separated embedding vectors for the requested tokens.
 
     Tokens absent from the file share one UNK id whose row is drawn
-    uniformly from [-0.25, 0.25] with a fixed seed. The vector width must
-    equal `expected_dim` (300 for the pretrained vectors used here) on
-    every line; with `expected_dim=None` the first line sets it. Components
-    are parsed only on the first line of each wanted token, in batches
-    that keep `float()`'s values and report the first bad line in the file.
+    uniformly from [-0.25, 0.25] with a fixed seed. The first line sets
+    the vector width and every later line must match it. Components are
+    parsed only on the first line of each wanted token, in batches that
+    keep `float()`'s values and report the first bad line in the file.
     """
-    if expected_dim is not None and expected_dim < 1:
-        raise ValueError(f"expected_dim must be at least 1, got {expected_dim}")
+    dim = None
     wanted = {t.lower() for t in vocabulary_tokens}
     found: dict[str, np.ndarray | None] = {}  # None: queued, not yet parsed
     queue: list[tuple[int, str, str]] = []  # wanted lines not yet parsed
@@ -234,13 +231,13 @@ def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | 
                     _parse_vectors(path, queue, found)  # its lines come first in the file
                     raise IngestError(f"{path}: line {lineno}: not UTF-8 text: {err.reason} at byte {err.start}") from None
             width = line.count(" ")  # the newline is not a space
-            if expected_dim is None:
+            if dim is None:
                 if width < 1:
                     raise IngestError(f"{path}: line {lineno}: vector has no values")
-                expected_dim = width
-            if width != expected_dim:
+                dim = width
+            if width != dim:
                 _parse_vectors(path, queue, found)  # its lines come first in the file
-                raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {expected_dim}")
+                raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {dim}")
             cut = line.find(" ")
             token = line[:cut]
             if token not in wanted or token in found:
@@ -250,12 +247,12 @@ def load_embeddings(path, vocabulary_tokens: Iterable[str], expected_dim: int | 
             if len(queue) == VECTOR_BATCH:
                 _parse_vectors(path, queue, found)
     _parse_vectors(path, queue, found)
-    if expected_dim is None:
+    if dim is None:
         raise IngestError(f"{path}: no vectors to take the width from")
     ordered = sorted(found)
     rng = np.random.default_rng(UNK_SEED)
-    unk_row = rng.uniform(-UNK_INIT_RANGE, UNK_INIT_RANGE, size=expected_dim).astype(np.float32)
-    matrix = np.zeros((len(ordered) + 1, expected_dim), dtype=np.float32)
+    unk_row = rng.uniform(-UNK_INIT_RANGE, UNK_INIT_RANGE, size=dim).astype(np.float32)
+    matrix = np.zeros((len(ordered) + 1, dim), dtype=np.float32)
     mapping = {}
     for i, token in enumerate(ordered):
         mapping[token] = i

@@ -10,6 +10,7 @@ thread pool measured no faster than the serial loop.
 from __future__ import annotations
 
 import json
+import math
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,7 +48,7 @@ class ExperimentConfig:
     transfer_dim: int = 64  # width of the auxiliary rows (transfer/noise)
     ae_hidden: int = 32
     alsa_hidden: int = 128
-    embedding_dim: int = 300  # used when embeddings_path is unset
+    embedding_dim: int = 300  # width of the random rows; a vector file sets its own
     epochs: int = 25
     seed: int = 0
     dev_fraction: float = 0.1
@@ -68,11 +69,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown architecture {self.architecture!r}")
         if self.task != "alsa" and self.input_mode != "plain":
             raise ConfigError(f"task {self.task!r} takes only plain input, got input mode {self.input_mode!r}")
-        # lr = 0 is allowed as the degenerate "no update" run; negative is not.
-        if self.lr < 0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
-        if self.l2_lambda < 0:
-            raise ConfigError(f"l2_lambda must be non-negative, got {self.l2_lambda}")
+        # lr = 0 is allowed as the degenerate "no update" run; negative, NaN and inf are not.
+        for key in ("lr", "l2_lambda"):
+            if not 0 <= getattr(self, key) < math.inf:  # False for NaN too
+                raise ConfigError(f"{key} must be finite and non-negative, got {getattr(self, key)}")
         if not 0 <= self.dev_fraction < 1:
             raise ConfigError(f"dev_fraction must lie in [0, 1), got {self.dev_fraction}")
         for key, low in (("epochs", 0), ("ae_hidden", 1), ("alsa_hidden", 1), ("embedding_dim", 1), ("transfer_dim", 0),
@@ -98,18 +98,10 @@ class ExperimentConfig:
         return replace(cls(), **_coerce_fields(mapping))
 
 
-class _FileValue(str):
-    """A config value read from a file; `where` is its "<path>: line N", for errors."""
-
-    def __new__(cls, value: str, where: str):
-        self = super().__new__(cls, value)
-        self.where = where
-        return self
-
-
 def parse_kv_file(path) -> dict:
     """Plain `key = value` config lines, one per key; '#' starts a comment.
-    Each value remembers its line, so a bad key or value names it."""
+    Each value is coerced as its line is read, so a bad key or value names
+    its line even when a flag later sets the same key."""
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")  # read_text made \r and \r\n "\n"
     except UnicodeDecodeError as err:
@@ -124,7 +116,10 @@ def parse_kv_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if line_of.setdefault(key, lineno) != lineno:
             raise ConfigError(f"{path}: line {lineno}: key {key!r} repeats line {line_of[key]}")
-        mapping[key] = _FileValue(value, f"{path}: line {lineno}")
+        try:
+            mapping.update(_coerce_fields({key: value}))
+        except ConfigError as err:
+            raise ConfigError(f"{path}: line {lineno}: {err}") from None
     return mapping
 
 
@@ -132,14 +127,9 @@ def _coerce_fields(mapping: dict) -> dict:
     hints = typing.get_type_hints(ExperimentConfig)
     out = {}
     for key, value in mapping.items():
-        try:
-            if key not in hints:
-                raise ConfigError(f"unknown config key {key!r}")
-            out[key] = _coerce(value, hints[key], key)
-        except ConfigError as err:
-            if isinstance(value, _FileValue):
-                raise ConfigError(f"{value.where}: {err}") from None
-            raise
+        if key not in hints:
+            raise ConfigError(f"unknown config key {key!r}")
+        out[key] = _coerce(value, hints[key], key)
     return out
 
 
@@ -193,7 +183,7 @@ def load_domain(config: ExperimentConfig,
             raise FileNotFoundError(f"missing dataset file {path}")
     tokens = [token for records in parsed.values() for token in collect_tokens(records)]
     if config.embeddings_path:
-        vocab = load_embeddings(config.embeddings_path, tokens, expected_dim=config.embedding_dim)
+        vocab = load_embeddings(config.embeddings_path, tokens)
     else:
         # No pretrained vectors available: seeded random rows (fixtures, demos).
         vocab = Vocabulary.random(tokens, dim=config.embedding_dim, seed=config.seed + 7919)
@@ -247,14 +237,13 @@ class TrainResult:
     log_path: Path | None = None
 
 
-def fit(store: ParamStore, items: Sequence, loss_fn: Callable, adam: AdamConfig | None,
+def fit(store: ParamStore, items: Sequence, loss_fn: Callable, adam: AdamConfig,
         epochs: int, seed: int, dev_key: str | None = None,
         dev_score: Callable[[], float] | None = None) -> tuple[list[dict], dict, float | None]:
     """Sample-at-a-time training; returns (log, best_state, best_dev).
 
     Every epoch visits `items` in a fresh seeded permutation, one
-    `loss_fn(item)` step each. `adam=None` runs the loop without updates
-    (the lr = 0 degenerate case). With `dev_score`, each epoch record gains
+    `loss_fn(item)` step each. With `dev_score`, each epoch record gains
     `dev_key` and the state is copied whenever the score strictly improves;
     otherwise best_state is the final state.
     """
@@ -267,8 +256,7 @@ def fit(store: ParamStore, items: Sequence, loss_fn: Callable, adam: AdamConfig 
         for i in rng.permutation(len(items)):
             item = items[i]
             total += forward_backward(store, lambda: loss_fn(item))
-            if adam is not None:
-                adam_step(store, adam)
+            adam_step(store, adam)
         record: dict = {"epoch": epoch, "train_loss": total / max(len(items), 1)}
         if dev_score is not None:
             dev = dev_score()
@@ -351,7 +339,7 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
         if not config.st_cache_path:
             raise ConfigError("transfer mode requires st_cache_path")
         st_source = load_archive(config.st_cache_path)
-    adam = AdamConfig(lr=config.lr, l2_lambda=config.l2_lambda) if config.lr > 0 else None
+    adam = AdamConfig(lr=config.lr, l2_lambda=config.l2_lambda)
     embeddings = vocab.matrix
 
     # Each branch sets its items, loss, dev scorer and meta; the model and
@@ -596,12 +584,12 @@ def cross_domain_run(config: ExperimentConfig) -> MetricsReport:
     classifier there, and score its test split."""
     if config.ae_domain is None:
         raise ConfigError("cross-domain runs need ae_domain")
-    ae_domain, alsa_domain, architecture = config.ae_domain, config.domain, config.architecture
+    ae_domain, alsa_domain = config.ae_domain, config.domain
     ckpt = ae_checkpoint_path(config, ae_domain)
     if not ckpt.exists():
         raise FileNotFoundError(f"missing AE checkpoint {ckpt} for domain {ae_domain!r}")
     run_config = replace(config, task="alsa", input_mode="transfer",
-                         run_name=f"{architecture}-t_{alsa_domain}_from_{ae_domain}")
+                         run_name=f"{config.architecture}-t_{alsa_domain}_from_{ae_domain}")
     datasets, vocab = load_domain(run_config)
     ae_model, _, _ = load_model(ckpt, vocab.matrix)
     st_source = {}
@@ -609,12 +597,8 @@ def cross_domain_run(config: ExperimentConfig) -> MetricsReport:
         st_source.update(export_transfer_cache(ae_model, dataset_sentence_ids(split_dataset, vocab)))
     # the splits loaded above are what train would load: same files, same vocabulary
     result = _train_loaded(replace(run_config, transfer_dim=ae_model.transfer_dim), datasets, vocab, st_source)
-    model, store = result.model, result.store
-    store.load_values(result.best_state)
-    mode = InputMode.transfer(st_source, ae_model.transfer_dim)
-    report = evaluate_samples(model, datasets["test"].samples, mode, vocab.matrix)
-    report.extras.update({"ae_domain": ae_domain, "alsa_domain": alsa_domain,
-                          "architecture": architecture})
+    report = evaluate(result.best_checkpoint, datasets["test"].samples, vocab.matrix, st_source)
+    report.extras.update({"ae_domain": ae_domain, "alsa_domain": alsa_domain})
     return report
 
 

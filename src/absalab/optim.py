@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass, field
 
@@ -22,17 +23,18 @@ class AdamConfig:
 
     L2 regularization is applied as gradient augmentation (``lambda * theta``
     added to the gradient before the moment updates), so reported losses stay
-    pure cross-entropy.
+    pure cross-entropy. At lr = 0 every update is +-0, and ``x - (+-0)`` is
+    ``x`` for every x but -0.0, which no initializer writes: the step moves
+    no value's bits.
     """
 
     lr: float = 0.001
     l2_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.l2_lambda < 0:
-            raise ValueError(f"l2_lambda must be non-negative, got {self.l2_lambda}")
+        for key in ("lr", "l2_lambda"):
+            if not 0 <= getattr(self, key) < math.inf:  # False for NaN too
+                raise ValueError(f"{key} must be finite and non-negative, got {getattr(self, key)}")
 
 
 @dataclass

@@ -240,6 +240,36 @@ def test_training_on_a_non_finite_vector_names_its_file_line_and_token(capsys, f
         "error": f"IngestError: {vectors}: line 1: non-finite vector component for 'the'"}
 
 
+def test_an_empty_vector_file_is_refused_by_name(capsys, fixtures_dir, tmp_path):
+    vectors = tmp_path / "empty.txt"
+    vectors.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, "train-alsa", *base_args(fixtures_dir, tmp_path), "--embeddings-path", str(vectors))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"IngestError: {vectors}: no vectors to take the width from"}
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
+def test_a_vector_file_sets_the_width_of_a_run(capsys, fixtures_dir, tmp_path):
+    args = base_args(fixtures_dir, tmp_path)
+    del args[args.index("--embedding-dim"):args.index("--embedding-dim") + 2]  # the default, 300, stays
+    code, _, err = run_cli(capsys, "train-alsa", *args, "--embeddings-path", str(fixtures_dir / "mini_vectors.txt"))
+    assert code == 0, err
+    meta = json.loads((tmp_path / "ckpt" / "atae_laptop.best.ckpt.meta.json").read_text(encoding="utf-8"))
+    assert meta["embedding_dim"] == 5
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--l2-lambda"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_training_refuses_a_non_finite_lr_or_l2_lambda(capsys, fixtures_dir, tmp_path, flag, value):
+    code, out, err = run_cli(capsys, "train-alsa", *base_args(fixtures_dir, tmp_path), flag, value)
+    assert (code, out) == (1, "")
+    key = flag[2:].replace("-", "_")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"ConfigError: {key} must be finite and non-negative, got {value}"}
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
 def test_grid_search_command_rejects_a_key_without_values(capsys, fixtures_dir, tmp_path):
     code, out, err = run_cli(capsys, "grid-search", "--grid", "lr=", *base_args(fixtures_dir, tmp_path))
     assert (code, out) == (1, "")
@@ -316,8 +346,22 @@ def test_config_file_errors_name_the_file_and_line_and_flags_do_not(capsys, tmp_
     code, _, err = run_cli(capsys, "train-alsa", "--config", str(cfg))
     assert json.loads(err.strip().splitlines()[-1]) == {
         "error": f"ConfigError: {cfg}: line 2: config key 'epochs': cannot parse 'many' as int"}
+    cfg.write_text("lr = 0.01\nepochs = 3\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "train-alsa", "--config", str(cfg), "--epochs", "lots")
     assert json.loads(err.strip().splitlines()[-1]) == {"error": "ConfigError: config key 'epochs': cannot parse 'lots' as int"}
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("epochs = 1\nlr = abc\n", "config key 'lr': cannot parse 'abc' as float"),
+    ("lr = 0.01\nepochs = 1.5\n", "config key 'epochs': cannot parse '1.5' as int"),
+])
+def test_a_bad_config_line_is_refused_even_when_a_flag_sets_its_key(capsys, fixtures_dir, tmp_path, text, problem):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "train-alsa", "--config", str(cfg), *base_args(fixtures_dir, tmp_path))  # --lr, --epochs
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": f"ConfigError: {cfg}: line 2: {problem}"}
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
 
 
 def test_readme_command_lines_parse():

@@ -304,7 +304,7 @@ def test_bio_round_trip_over_all_fixture_sentences(laptop_train_xml, restaurant_
 
 
 def test_load_embeddings_fixture_rows(fixtures_dir):
-    vocab = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "battery", "zzz"], expected_dim=5)
+    vocab = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "battery", "zzz"])
     npt.assert_allclose(vocab.matrix[vocab.id_of("the")], [0.1, 0.2, 0.3, 0.4, 0.5])
     npt.assert_allclose(vocab.matrix[vocab.id_of("battery")], [-0.5, 0.25, 0.0, 1.0, -1.0])
     assert vocab.id_of("zzz") == vocab.unk_id
@@ -312,60 +312,59 @@ def test_load_embeddings_fixture_rows(fixtures_dir):
 
 
 def test_load_embeddings_unknown_row_is_deterministic(fixtures_dir):
-    a = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "zzz"], expected_dim=5)
-    b = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "zzz"], expected_dim=5)
+    a = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "zzz"])
+    b = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "zzz"])
     npt.assert_array_equal(a.matrix, b.matrix)
     assert a.token_to_id == b.token_to_id
     assert (np.abs(a.matrix[a.unk_id]) <= 0.25).all()
 
 
-def test_load_embeddings_dim_mismatch_errors(fixtures_dir, tmp_path):
-    with pytest.raises(IngestError, match="expected 300"):
-        load_embeddings(fixtures_dir / "mini_vectors.txt", ["the"])  # default dim is 300
+def test_load_embeddings_dim_mismatch_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("the 0.1 0.2\nbroken\n", encoding="utf-8")
     with pytest.raises(IngestError, match="line 2"):
-        load_embeddings(bad, ["the", "broken"], expected_dim=2)
+        load_embeddings(bad, ["the", "broken"])
 
 
 def test_load_embeddings_non_numeric_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("the 0.1 oops\n", encoding="utf-8")
     with pytest.raises(IngestError, match="non-numeric"):
-        load_embeddings(bad, ["the"], expected_dim=2)
+        load_embeddings(bad, ["the"])
 
 
 def test_load_embeddings_checks_width_of_skipped_lines(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("the 0.1 0.2\nother 0.3\n", encoding="utf-8")
     with pytest.raises(IngestError, match=r"bad\.txt: line 2: vector has 1 values, expected 2"):
-        load_embeddings(bad, ["the"], expected_dim=2)
+        load_embeddings(bad, ["the"])
 
 
 def test_load_embeddings_parses_only_wanted_lines(tmp_path):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("other 0.3 oops\nthe 0.1 0.2\nthe 0.5 nope\n", encoding="utf-8")
-    vocab = load_embeddings(vectors, ["the"], expected_dim=2)  # skipped lines are never parsed
+    vocab = load_embeddings(vectors, ["the"])  # skipped lines are never parsed
     npt.assert_array_equal(vocab.matrix[vocab.id_of("the")], np.float32([0.1, 0.2]))
 
 
 def test_load_embeddings_without_a_width_takes_the_first_lines(fixtures_dir, tmp_path):
-    vocab = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "screen"], expected_dim=None)
+    vocab = load_embeddings(fixtures_dir / "mini_vectors.txt", ["the", "screen"])
     assert vocab.matrix.shape[1] == 5
     for text, message in (("", "no vectors"), ("the\nscreen 0.1\n", "line 1: vector has no values")):
         vectors = tmp_path / "vectors.txt"
         vectors.write_text(text, encoding="utf-8")
         with pytest.raises(IngestError, match=message):
-            load_embeddings(vectors, ["the"], expected_dim=None)
+            load_embeddings(vectors, ["the"])
 
 
-def _reference_load_embeddings(path, vocabulary_tokens, expected_dim):
+def _reference_load_embeddings(path, vocabulary_tokens):
     """The per-line loader the batched one replaced: `float()` on every
     component of a wanted line, each line decoded on its own (split at
     \\n, \\r\\n or \\r, as the text reader splits), errors raised as the
     line is read."""
     wanted = {t.lower() for t in vocabulary_tokens}
     found = {}
+    expected_dim = None
     with open(path, "rb") as fh:
         raw_lines = fh.read().splitlines()
     for lineno, raw in enumerate(raw_lines, start=1):
@@ -404,13 +403,13 @@ def _reference_load_embeddings(path, vocabulary_tokens, expected_dim):
     return Vocabulary(mapping, matrix, unk_id)
 
 
-def _assert_same_as_reference(path, tokens, expected_dim):
+def _assert_same_as_reference(path, tokens):
     """Require both loaders to give the same vocabulary, as (mapping, matrix
     bytes, unk_id), or the same error, as (type, message); return it."""
     outcomes = []
     for loader in (load_embeddings, _reference_load_embeddings):
         try:
-            vocab = loader(path, tokens, expected_dim)
+            vocab = loader(path, tokens)
         except ValueError as err:  # IngestError among them
             outcomes.append((type(err), str(err)))
         else:
@@ -446,9 +445,10 @@ def test_load_embeddings_matches_the_per_line_reference(tmp_path_factory, case):
     text, wanted, width = case
     vectors = tmp_path_factory.mktemp("vectors") / "vectors.txt"
     vectors.write_text(text, encoding="utf-8")
-    for expected_dim in (width, None):
-        outcome = _assert_same_as_reference(vectors, wanted, expected_dim)
-        assert len(outcome) == 3  # loaded, not an error
+    outcome = _assert_same_as_reference(vectors, wanted)
+    assert len(outcome) == 3  # loaded, not an error
+    token_to_id, matrix_bytes, unk_id = outcome
+    assert len(matrix_bytes) == (unk_id + 1) * width * 4  # the file's width
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")  # 3.4028236e38, in both
@@ -460,10 +460,9 @@ def test_load_embeddings_rejects_a_non_finite_vector(tmp_path, component, wanted
     for tail in ([], ["late 0.1 oops"]):  # a later non-numeric line sends the batch through float()
         lines = _filler_lines(wanted_before) + ["the 0.5 -0.0", f"bad 0.1 {component}"] + tail
         vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        for expected_dim in (2, None):
-            assert _assert_same_as_reference(vectors, tokens, expected_dim) == (
-                IngestError, f"{vectors}: line {wanted_before + 2}: non-finite vector component for 'bad'")
-        vocab = load_embeddings(vectors, ["the"], expected_dim=2)  # a skipped line stays unparsed
+        assert _assert_same_as_reference(vectors, tokens) == (
+            IngestError, f"{vectors}: line {wanted_before + 2}: non-finite vector component for 'bad'")
+        vocab = load_embeddings(vectors, ["the"])  # a skipped line stays unparsed
         assert vocab.matrix[vocab.id_of("the")].tobytes() == np.float32([0.5, -0.0]).tobytes()
 
 
@@ -476,8 +475,8 @@ def test_load_embeddings_reads_forms_only_float_accepts(tmp_path):
     lines = ["the 1_0 0.25", "arabic \u0661\u0662 -\u0663.\u0665", "plain 0.1 0.2", "spaced \u20030.5 1.5\u00a0"]
     vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
     tokens = ["the", "arabic", "plain", "spaced"]
-    _assert_same_as_reference(vectors, tokens, 2)
-    vocab = load_embeddings(vectors, tokens, expected_dim=2)
+    _assert_same_as_reference(vectors, tokens)
+    vocab = load_embeddings(vectors, tokens)
     npt.assert_array_equal(vocab.matrix[vocab.id_of("the")], np.float32([10.0, 0.25]))
     npt.assert_array_equal(vocab.matrix[vocab.id_of("arabic")], np.float32([12.0, -3.5]))
     npt.assert_array_equal(vocab.matrix[vocab.id_of("spaced")], np.float32([0.5, 1.5]))
@@ -487,23 +486,23 @@ def test_load_embeddings_reads_forms_only_float_accepts(tmp_path):
 def test_load_embeddings_refuses_what_float_refuses(tmp_path, separator):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text(f"the 0.1 0.2\nbad 0.5{separator} 0.25\n", encoding="utf-8")
-    assert _assert_same_as_reference(vectors, ["the", "bad"], 2) == (
+    assert _assert_same_as_reference(vectors, ["the", "bad"]) == (
         IngestError, f"{vectors}: line 2: non-numeric vector component")
 
 
 @pytest.mark.parametrize("wanted_before", [0, VECTOR_BATCH + 9])
 @pytest.mark.parametrize("non_numeric_first", [True, False])
 def test_load_embeddings_reports_the_first_fault_in_the_file(tmp_path, wanted_before, non_numeric_first):
-    lines = _filler_lines(wanted_before)
+    lines = _filler_lines(wanted_before + 1)  # the last filler line is unwanted; the first sets the width
     faults = ["bad 0.1 oops", "short 0.1"]
     lines += faults if non_numeric_first else faults[::-1]
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
     tokens = [f"f{i}" for i in range(wanted_before)] + ["bad", "short"]
-    first_line = wanted_before + 1
+    first_line = wanted_before + 2
     expected = (f"{vectors}: line {first_line}: non-numeric vector component" if non_numeric_first
                 else f"{vectors}: line {first_line}: vector has 1 values, expected 2")
-    assert _assert_same_as_reference(vectors, tokens, 2) == (IngestError, expected)
+    assert _assert_same_as_reference(vectors, tokens) == (IngestError, expected)
 
 
 def test_load_embeddings_keeps_the_first_line_of_a_token_across_batches(tmp_path):
@@ -511,9 +510,9 @@ def test_load_embeddings_keeps_the_first_line_of_a_token_across_batches(tmp_path
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
     tokens = ["the"] + [f"f{i}" for i in range(VECTOR_BATCH + 3)]
-    vocab = load_embeddings(vectors, tokens, expected_dim=2)
+    vocab = load_embeddings(vectors, tokens)
     npt.assert_array_equal(vocab.matrix[vocab.id_of("the")], np.float32([0.1, 0.2]))
-    _assert_same_as_reference(vectors, tokens, 2)
+    _assert_same_as_reference(vectors, tokens)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r", "no final newline"])
@@ -524,20 +523,20 @@ def test_load_embeddings_reads_every_line_ending_alike(tmp_path, newline):
     text = "\n".join(lines) if newline == "no final newline" else newline.join(lines) + newline
     other.write_bytes(text.encode("utf-8"))
     tokens = ["the", "battery", "zzz"]
-    a, b = load_embeddings(lf, tokens, expected_dim=2), load_embeddings(other, tokens, expected_dim=2)
+    a, b = load_embeddings(lf, tokens), load_embeddings(other, tokens)
     assert a.token_to_id == b.token_to_id and a.unk_id == b.unk_id
     assert a.matrix.tobytes() == b.matrix.tobytes()
-    _assert_same_as_reference(other, tokens, 2)
+    _assert_same_as_reference(other, tokens)
 
 
 def test_load_embeddings_reports_a_bad_line_before_undecodable_bytes(tmp_path):
     vectors = tmp_path / "vectors.txt"
     head = "\n".join(["the 0.1 0.2", "bad 0.1 oops"] + _filler_lines(2000)) + "\n"
     vectors.write_bytes(head.encode("utf-8") + b"\xff 0.1 0.2\n")  # far past the first decoded chunk
-    assert _assert_same_as_reference(vectors, ["the", "bad"], 2) == (
+    assert _assert_same_as_reference(vectors, ["the", "bad"]) == (
         IngestError, f"{vectors}: line 2: non-numeric vector component")
     vectors.write_bytes(b"the 0.1 0.2\n\xff 0.1 0.2\n")
-    assert _assert_same_as_reference(vectors, ["the"], 2) == (
+    assert _assert_same_as_reference(vectors, ["the"]) == (
         IngestError, f"{vectors}: line 2: not UTF-8 text: invalid start byte at byte 0")
 
 
@@ -550,11 +549,10 @@ def test_load_embeddings_reports_the_first_of_a_width_error_and_undecodable_byte
     for lines, expected in (([short, undecodable], "vector has 1 values, expected 2"),
                             ([undecodable, short], "not UTF-8 text: invalid continuation byte at byte 3")):
         vectors.write_bytes(head.encode("utf-8") + b"".join(lines) + b"ok 0.1 0.2" + newline.encode())
-        for expected_dim in (2, None):
-            assert _assert_same_as_reference(vectors, ["the", "short", "caf"], expected_dim) == (
-                IngestError, f"{vectors}: line {filler + 2}: {expected}")
+        assert _assert_same_as_reference(vectors, ["the", "short", "caf"]) == (
+            IngestError, f"{vectors}: line {filler + 2}: {expected}")
     vectors.write_bytes(head.encode("utf-8") + b"cut 0.1 0.\xe2\x82")  # ends inside a character
-    assert _assert_same_as_reference(vectors, ["the"], 2) == (
+    assert _assert_same_as_reference(vectors, ["the"]) == (
         IngestError, f"{vectors}: line {filler + 2}: not UTF-8 text: unexpected end of data at byte 10")
 
 
@@ -562,13 +560,8 @@ def test_load_embeddings_reports_an_empty_one_wide_vector(tmp_path):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("a 1\nthe \nb 2\n", encoding="utf-8")  # numpy's reader would skip the empty row
     for tokens in (["a", "the", "b"], ["the"]):
-        assert _assert_same_as_reference(vectors, tokens, 1) == (
+        assert _assert_same_as_reference(vectors, tokens) == (
             IngestError, f"{vectors}: line 2: non-numeric vector component")
-
-
-def test_load_embeddings_rejects_a_width_below_one(fixtures_dir):
-    with pytest.raises(ValueError, match="expected_dim must be at least 1, got 0"):
-        load_embeddings(fixtures_dir / "mini_vectors.txt", ["the"], expected_dim=0)
 
 
 def test_load_embeddings_breaks_lines_only_at_newlines(tmp_path):
@@ -576,10 +569,9 @@ def test_load_embeddings_breaks_lines_only_at_newlines(tmp_path):
     lines = ["caf\u00e9\x85 0.1 0.2", "a\u2028b 0.3 0.4", "c\x85d\u2029 0.5 0.6"] + _filler_lines(3)
     vectors.write_text("\n".join(lines) + "\n", encoding="utf-8")
     tokens = ["caf\u00e9\x85", "a\u2028b", "f1", "zzz"]
-    vocab = load_embeddings(vectors, tokens, expected_dim=2)
+    vocab = load_embeddings(vectors, tokens)
     npt.assert_array_equal(vocab.matrix[vocab.id_of("a\u2028b")], np.float32([0.3, 0.4]))
-    for expected_dim in (2, None):
-        assert len(_assert_same_as_reference(vectors, tokens, expected_dim)) == 3  # loaded, not an error
+    assert len(_assert_same_as_reference(vectors, tokens)) == 3  # loaded, not an error
 
 
 def test_load_embeddings_opens_its_file_once(tmp_path, monkeypatch):
@@ -594,7 +586,7 @@ def test_load_embeddings_opens_its_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(builtins, "open", counting_open)
     with pytest.raises(IngestError, match=re.escape(f"{vectors}: line 2002: not UTF-8 text: invalid continuation")):
-        load_embeddings(vectors, ["the"], expected_dim=2)
+        load_embeddings(vectors, ["the"])
     assert opened == [vectors]
 
 

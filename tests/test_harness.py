@@ -77,8 +77,10 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     assert ExperimentConfig.from_mapping({"ae_domain": "restaurant"}).ae_domain == "restaurant"
     with pytest.raises(ConfigError):
         ExperimentConfig(task="paint")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(lr=-0.1)
+    for key in ("lr", "l2_lambda"):
+        for value in (-0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"^{key} must be finite and non-negative, got {value}$"):
+                ExperimentConfig(**{key: value})
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="key = value"):
@@ -100,7 +102,8 @@ def test_config_file_errors_name_the_file_and_line(tmp_path):
     cfg.write_text("lr = 0.01\n# runs\n\nepochs = many\ndomain = restaurant\nae_domain =\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 4: config key 'epochs': cannot parse 'many' as int")):
         ExperimentConfig.from_mapping(parse_kv_file(cfg))
-    # a key set again outside the file (as a CLI flag does) is no longer the file's
+    cfg.write_text("lr = 0.01\n# runs\n\nepochs = 4\ndomain = restaurant\nae_domain =\n", encoding="utf-8")
+    # a value set outside the file (as a CLI flag does) is not the file's
     with pytest.raises(ConfigError, match=r"^config key 'epochs': cannot parse 'lots' as int$"):
         ExperimentConfig.from_mapping({**parse_kv_file(cfg), "epochs": "lots"})
     config = ExperimentConfig.from_mapping({**parse_kv_file(cfg), "epochs": "2"})
@@ -191,15 +194,17 @@ def test_train_is_bit_identical_given_seed(fixtures_dir, tmp_path, task):
 
 
 def test_train_lr_zero_keeps_parameters(fixtures_dir, tmp_path):
-    config = tiny_config(fixtures_dir, tmp_path, lr=0.0, epochs=3)
-    result = train(config)
-    init_store = ParamStore()
-    rng = np.random.default_rng(config.seed)
-    from absalab.alsa import create_alsa_model
-
-    create_alsa_model(init_store, "atae", d_in=8, hidden=4, rng=rng)
-    for name, value in init_store.state_dict().items():
-        npt.assert_array_equal(result.final_state[name], value)
+    for i, overrides in enumerate([dict(architecture="atae"),
+                                   dict(architecture="tclstm", input_mode="noise", transfer_dim=3),
+                                   dict(architecture="ian", l2_lambda=0.5, dev_fraction=0.4),
+                                   dict(task="ae"), dict(task="multitask", dev_fraction=0.4)]):
+        config = tiny_config(fixtures_dir, tmp_path / str(i), lr=0.0, epochs=3, **overrides)
+        result = train(config)
+        init_store = ParamStore()
+        harness.build_model_from_meta(init_store, result.meta, load_domain(config)[1].matrix)
+        for name, value in init_store.state_dict().items():  # tobytes: assert_array_equal takes -0.0 for 0.0
+            assert result.final_state[name].tobytes() == value.tobytes(), (overrides, name)
+            assert result.best_state[name].tobytes() == value.tobytes(), (overrides, name)
 
 
 def test_train_missing_inputs_fail_before_training(fixtures_dir, tmp_path):
@@ -241,6 +246,14 @@ def test_load_domain_without_test_split(fixtures_dir, tmp_path):
     (data / "laptop_train.xml").write_text("<sentences><sentence></sentences>", encoding="utf-8")
     with pytest.raises(IngestError, match=re.escape(f"{data / 'laptop_train.xml'}: malformed XML")):
         load_domain(config, require=("train",))
+
+
+def test_load_domain_refuses_an_empty_vector_file(fixtures_dir, tmp_path):
+    vectors = tmp_path / "empty.txt"
+    vectors.write_text("", encoding="utf-8")
+    config = tiny_config(fixtures_dir, tmp_path, embeddings_path=str(vectors))
+    with pytest.raises(IngestError, match=f"^{re.escape(str(vectors))}: no vectors to take the width from$"):
+        load_domain(config)
 
 
 def test_load_domain_tokenizes_each_sentence_once(fixtures_dir, tmp_path, monkeypatch):
@@ -505,11 +518,10 @@ def test_grid_cartesian_size_and_ranking(fixtures_dir, tmp_path):
 
 def test_grid_records_failures_without_aborting(fixtures_dir, tmp_path):
     config = tiny_config(fixtures_dir, tmp_path / "grid3", dev_fraction=0.2, epochs=1)
-    rows = grid_search(config, {"lr": [0.01, -1.0]})
-    assert len(rows) == 2
-    errors = [r for r in rows if "error" in r]
-    assert len(errors) == 1
-    assert "lr" in errors[0]["error"]
+    rows = grid_search(config, {"lr": [0.01, -1.0, "nan"]})
+    assert len(rows) == 3
+    errors = [r["error"] for r in rows if "error" in r]
+    assert sorted(errors) == [f"ConfigError: lr must be finite and non-negative, got {v}" for v in ("-1.0", "nan")]
     assert rows[0].get("dev_macro_f1") is not None  # healthy row ranks first
 
 

@@ -10,10 +10,11 @@ from absalab.optim import BETA1, BETA2, BLOCK, EPS, AdamConfig, ParamStore, adam
 
 def test_adam_config_validation():
     AdamConfig(lr=0.001)
-    with pytest.raises(ValueError):
-        AdamConfig(lr=-1.0)
-    with pytest.raises(ValueError):
-        AdamConfig(lr=0.001, l2_lambda=-0.1)
+    AdamConfig(lr=0.0)  # an Adam step that moves nothing
+    for kwargs in ({"lr": -1.0}, {"lr": 0.001, "l2_lambda": -0.1}, {"lr": float("nan")}, {"lr": float("inf")},
+                   {"l2_lambda": float("nan")}, {"lr": float("inf"), "l2_lambda": float("inf")}):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            AdamConfig(**kwargs)
 
 
 def test_duplicate_parameter_names_rejected():
