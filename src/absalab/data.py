@@ -28,6 +28,7 @@ UNK_SEED = 13
 RANDOM_INIT_RANGE = 0.5  # rows of Vocabulary.random
 _TOKEN = re.compile(r"[{0}]|[^\s{0}]+".format(re.escape(string.punctuation)))
 VECTOR_BATCH = 256  # wanted vector lines parsed per np.loadtxt call
+VECTOR_BLOCK = 1 << 16  # bytes of a vector file read at once; below glibc's 128 KiB mmap threshold
 _READER_ONLY_SPACE = "\x1c\x1d\x1e\x1f"  # whitespace around a field to numpy's reader, not to float()
 
 POLARITIES = ("positive", "negative", "neutral", "conflict")
@@ -209,43 +210,91 @@ def _parse_vector(path, lineno: int, components: str) -> np.ndarray:
         raise IngestError(f"{path}: line {lineno}: non-numeric vector component") from None
 
 
+def _vector_lines(buf: bytearray, size: int, at_end: bool) -> tuple[int, list, list, list, list]:
+    """The complete lines of `buf[:size]`: the bytes they span, and per line
+    its start, the next line's start, its space count and whether it holds
+    a byte that is not ASCII.
+
+    `\\n`, `\\r\\n` and `\\r` each end a line. A `\\r` that ends the block
+    waits for the next block, which may begin with its `\\n`; at the end of
+    the file a last line without a break counts too.
+    """
+    a = np.frombuffer(buf, np.uint8, size)
+    scan = size - 1 if size and not at_end and a[size - 1] == 13 else size
+    breaks = np.flatnonzero(a[:scan] <= 13)  # one pass; the other control bytes drop out below
+    breaks = breaks[(a[breaks] == 10) | (a[breaks] == 13)]
+    nexts, kinds = breaks + 1, a[breaks]
+    if (kinds == 13).any():  # a \r\n is one break: its line ends after the \n
+        pair = (kinds[:-1] == 13) & (kinds[1:] == 10) & (breaks[1:] == nexts[:-1])
+        nexts = nexts[np.append(~pair, True)]
+    if at_end and (nexts[-1] if len(nexts) else 0) < size:
+        nexts = np.append(nexts, size)
+    if not len(nexts):
+        return 0, [], [], [], []
+    starts = np.append(0, nexts[:-1])
+    lines = a[:nexts[-1]]
+    # a line's count never passes its length, so 16 bits hold it unless the block reaches 64 KiB
+    spaces = np.add.reduceat(lines == 32, starts, dtype=np.uint16 if len(lines) < 1 << 16 else np.intp)
+    non_ascii = np.maximum.reduceat(lines, starts) > 127
+    return int(nexts[-1]), starts.tolist(), nexts.tolist(), spaces.tolist(), non_ascii.tolist()
+
+
 def load_embeddings(path, vocabulary_tokens: Iterable[str]) -> Vocabulary:
     """Load whitespace-separated embedding vectors for the requested tokens.
 
     Tokens absent from the file share one UNK id whose row is drawn
     uniformly from [-0.25, 0.25] with a fixed seed. The first line sets
-    the vector width and every later line must match it. Components are
-    parsed only on the first line of each wanted token, in batches that
-    keep `float()`'s values and report the first bad line in the file.
+    the vector width and every later line must match it. The file is read
+    as bytes, in blocks; numpy finds each block's lines and counts their
+    spaces, so every line's width is checked, and a line that is not ASCII
+    must be UTF-8. A line's first field is looked up as bytes; components
+    are decoded and parsed only on the first line of each wanted token, in
+    batches that keep `float()`'s values and report the first bad line in
+    the file.
     """
     dim = None
     wanted = {t.lower() for t in vocabulary_tokens}
+    by_bytes = {t.encode("utf-8", "surrogatepass"): t for t in wanted}  # no line with a surrogate gets past its decode
     found: dict[str, np.ndarray | None] = {}  # None: queued, not yet parsed
     queue: list[tuple[int, str, str]] = []  # wanted lines not yet parsed
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:  # undecodable bytes wait for their line
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as err:
+    lineno = 0
+    buf = bytearray(VECTOR_BLOCK)
+    kept = 0  # bytes at the start of buf of a line not yet ended
+    with open(path, "rb") as fh:
+        while True:
+            if kept == len(buf):  # one line fills the buffer
+                buf.extend(bytes(VECTOR_BLOCK))
+            got = fh.readinto(memoryview(buf)[kept:])
+            size = kept + got
+            stop, *lines = _vector_lines(buf, size, at_end=not got)
+            for start, next_start, width, non_ascii in zip(*lines):
+                lineno += 1
+                if non_ascii:
+                    try:
+                        buf[start:next_start].decode("utf-8")
+                    except UnicodeDecodeError as err:
+                        _parse_vectors(path, queue, found)  # its lines come first in the file
+                        raise IngestError(f"{path}: line {lineno}: not UTF-8 text: {err.reason} "
+                                          f"at byte {err.start}") from None
+                if dim is None:
+                    if width < 1:
+                        raise IngestError(f"{path}: line {lineno}: vector has no values")
+                    dim = width
+                if width != dim:
                     _parse_vectors(path, queue, found)  # its lines come first in the file
-                    raise IngestError(f"{path}: line {lineno}: not UTF-8 text: {err.reason} at byte {err.start}") from None
-            width = line.count(" ")  # the newline is not a space
-            if dim is None:
-                if width < 1:
-                    raise IngestError(f"{path}: line {lineno}: vector has no values")
-                dim = width
-            if width != dim:
-                _parse_vectors(path, queue, found)  # its lines come first in the file
-                raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {dim}")
-            cut = line.find(" ")
-            token = line[:cut]
-            if token not in wanted or token in found:
-                continue
-            found[token] = None
-            queue.append((lineno, token, line[cut + 1:].rstrip("\n")))
-            if len(queue) == VECTOR_BATCH:
-                _parse_vectors(path, queue, found)
+                    raise IngestError(f"{path}: line {lineno}: vector has {width} values, expected {dim}")
+                cut = buf.find(b" ", start, next_start)
+                token = by_bytes.get(bytes(buf[start:cut]))
+                if token is None or token in found:
+                    continue
+                found[token] = None
+                queue.append((lineno, token, buf[cut + 1:next_start].rstrip(b"\r\n").decode("utf-8")))
+                if len(queue) == VECTOR_BATCH:
+                    _parse_vectors(path, queue, found)
+            if not got:
+                break
+            kept = size - stop
+            buf[:kept] = buf[stop:size]
     _parse_vectors(path, queue, found)
     if dim is None:
         raise IngestError(f"{path}: no vectors to take the width from")

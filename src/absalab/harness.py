@@ -530,7 +530,9 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     point overwrites another's checkpoints or log. Ties break toward lower
     l2_lambda, then lower lr. A point that fails (a value out of range, a
     training error) is recorded with its error message instead of aborting
-    the sweep.
+    the sweep. The corpus and vectors are loaded once per distinct setting
+    of the fields `load_domain` reads; a failed load is every such point's
+    error.
     """
     if not grid:
         raise ConfigError("grid must name at least one hyper-parameter")
@@ -545,6 +547,7 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         points = [dict(p, **{key: v}) for p in points for v in values]
 
     scored = []  # (row, its dev score)
+    loads: dict[tuple, tuple | Exception] = {}  # _load_key -> load_domain's result, or what it raised
     for point in points:
         row: dict = {"params": point}
         dev = None
@@ -552,7 +555,15 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
             base = replace(config, **point)
             settings = [f"{key}={value}" for key, value in sorted(point.items())]
             run_config = replace(base, run_name="_".join([base.name, *settings]))
-            result = train(run_config)
+            key = _load_key(run_config)
+            if key not in loads:
+                try:
+                    loads[key] = load_domain(run_config, require=("train",))
+                except Exception as err:
+                    loads[key] = err
+            if isinstance(loads[key], Exception):
+                raise loads[key]
+            result = _train_loaded(run_config, *loads[key], None)
             dev = row[result.dev_key] = result.best_dev
             row["name"] = run_config.name
             row["best_checkpoint"] = str(result.best_checkpoint) if result.best_checkpoint else None
@@ -567,6 +578,12 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
         return (failed, -(dev or 0.0), params.get("l2_lambda", config.l2_lambda), params.get("lr", config.lr))
 
     return [row for row, _ in sorted(scored, key=sort_key)]
+
+
+def _load_key(config: ExperimentConfig) -> tuple:
+    """The fields `load_domain(config)` reads; the seed only seeds random word rows."""
+    return (config.data_dir, config.domain, config.train_xml, config.test_xml, config.embeddings_path,
+            config.embedding_dim, None if config.embeddings_path else config.seed)
 
 
 # -- cross-domain transfer ------------------------------------------------------------------

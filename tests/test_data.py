@@ -1,8 +1,11 @@
 import builtins
 import hashlib
+import importlib.util
 import json
 import re
 import string
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absalab import data
 from absalab.ae import AspectSpan, decode_spans, encode_spans
 from absalab.data import (
     UNK_INIT_RANGE,
@@ -360,8 +364,8 @@ def test_load_embeddings_without_a_width_takes_the_first_lines(fixtures_dir, tmp
 def _reference_load_embeddings(path, vocabulary_tokens):
     """The per-line loader the batched one replaced: `float()` on every
     component of a wanted line, each line decoded on its own (split at
-    \\n, \\r\\n or \\r, as the text reader splits), errors raised as the
-    line is read."""
+    \\n, \\r\\n or \\r, the breaks the loader ends a line at), errors raised
+    as the line is read."""
     wanted = {t.lower() for t in vocabulary_tokens}
     found = {}
     expected_dim = None
@@ -588,6 +592,126 @@ def test_load_embeddings_opens_its_file_once(tmp_path, monkeypatch):
     with pytest.raises(IngestError, match=re.escape(f"{vectors}: line 2002: not UTF-8 text: invalid continuation")):
         load_embeddings(vectors, ["the"])
     assert opened == [vectors]
+
+
+_EDGE_TOKENS = (b"the", b"w1", b"w2", "café".encode(), "été".encode(), b"l" * 80, b"c\x00\t\x0b\x0c",
+                b"caf\xc3s", b"\xff")  # the last two are not UTF-8, whatever byte follows them
+_EDGE_WANTED = ("the", "w1", "café", "été", "l" * 80, "c\x00\t\x0b\x0c", "absent")
+_EDGE_COMPONENTS = ("oops", "nan", "-inf", "1e400", "-0.0")  # 1e400 is inf to float() and to numpy's reader
+_BLOCK_SIZES = (1, 2, 3, 7, 64)
+
+
+@st.composite
+def _block_edge_files(draw):
+    """(bytes, wanted tokens): short lines broken by any mix of \\n, \\r\\n
+    and \\r, with or without a final break; tokens that are ASCII (control
+    bytes that are not breaks among them), not, or not UTF-8; now and then
+    a line of another width or a component that is not a number or not
+    finite."""
+    width = draw(st.integers(1, 3))
+    number = st.floats(-2.0, 2.0, width=32).map(lambda x: "%.3f" % x)
+    component = st.one_of(number, number, number, st.sampled_from(_EDGE_COMPONENTS))
+    body = b""
+    for _ in range(draw(st.integers(0, 12))):
+        n = width if draw(st.integers(0, 7)) else draw(st.integers(0, width + 1))
+        fields = [draw(st.sampled_from(_EDGE_TOKENS))] + [draw(component).encode() for _ in range(n)]
+        body += b" ".join(fields) + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+    if draw(st.booleans()):
+        body = body.rstrip(b"\r\n")
+    return body, draw(st.lists(st.sampled_from(_EDGE_WANTED), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_block_edge_files())
+def test_load_embeddings_matches_the_reference_at_every_block_size(tmp_path_factory, case):
+    body, wanted = case
+    vectors = tmp_path_factory.mktemp("vectors") / "vectors.txt"
+    vectors.write_bytes(body)
+    for size in _BLOCK_SIZES:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "VECTOR_BLOCK", size)
+            _assert_same_as_reference(vectors, wanted)
+
+
+@pytest.mark.parametrize("size", [12, 13])  # the \r ends the first block, or the \n begins the second
+def test_load_embeddings_keeps_a_crlf_split_across_blocks_one_break(tmp_path, monkeypatch, size):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"the 0.1 0.2\r\nshort 0.1\r\n")  # 12 bytes up to the \r
+    monkeypatch.setattr(data, "VECTOR_BLOCK", size)
+    assert _assert_same_as_reference(vectors, ["the"]) == (
+        IngestError, f"{vectors}: line 2: vector has 1 values, expected 2")
+    vectors.write_bytes(b"the 0.1 0.2\r\nb 0.3 0.4\r\n")
+    vocab = load_embeddings(vectors, ["the", "b"])
+    assert vocab.matrix[:2].tobytes() == np.float32([[0.3, 0.4], [0.1, 0.2]]).tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 7, 12, 23, 24, 64])
+def test_load_embeddings_reads_a_file_ending_in_a_carriage_return(tmp_path, monkeypatch, size):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_bytes(b"the 0.1 0.2\rb 0.3 0.4\r")  # 24 bytes
+    monkeypatch.setattr(data, "VECTOR_BLOCK", size)
+    vocab = load_embeddings(vectors, ["the", "b"])
+    assert vocab.matrix[:2].tobytes() == np.float32([[0.3, 0.4], [0.1, 0.2]]).tobytes()
+    _assert_same_as_reference(vectors, ["the", "b"])
+    vectors.write_bytes(b"the 0.1 0.2\rb 0.3\r")
+    assert _assert_same_as_reference(vectors, ["the"]) == (
+        IngestError, f"{vectors}: line 2: vector has 1 values, expected 2")
+
+
+@pytest.mark.parametrize("size", [64, None])  # None: the module's own block size
+def test_load_embeddings_reads_a_line_longer_than_a_block(tmp_path, monkeypatch, size):
+    width = 70_000 if size is None else 300  # 70,000 spaces also outgrow a 16-bit count
+    if size is not None:
+        monkeypatch.setattr(data, "VECTOR_BLOCK", size)
+    row = " ".join(["0.5"] * (width - 1) + ["-1.25"])
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text(f"skip {row}\nthe {row}\nshort 0.5\n", encoding="utf-8")
+    assert _assert_same_as_reference(vectors, ["the"]) == (
+        IngestError, f"{vectors}: line 3: vector has 1 values, expected {width}")
+    vectors.write_text(f"skip {row}\nthe {row}", encoding="utf-8")
+    vocab = load_embeddings(vectors, ["the"])
+    assert vocab.matrix[vocab.id_of("the")].tobytes() == np.float32([0.5] * (width - 1) + [-1.25]).tobytes()
+    _assert_same_as_reference(vectors, ["the"])
+
+
+def test_load_embeddings_reports_a_character_cut_by_a_line_break(tmp_path):
+    # the break after the cut character is decoded with its line, so the next byte is a bad continuation
+    vectors = tmp_path / "vectors.txt"
+    for newline in (b"\n", b"\r\n", b"\r"):
+        vectors.write_bytes(b"the 0.1 0.2" + newline + b"cut 0.1 0.\xe2\x82" + newline)
+        with pytest.raises(IngestError, match=re.escape(
+                f"{vectors}: line 2: not UTF-8 text: invalid continuation byte at byte 10")):
+            load_embeddings(vectors, ["the"])
+
+
+def test_load_embeddings_matches_the_reference_on_a_benchmark_vector_file(tmp_path):
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).resolve().parent.parent
+                                                  / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    words = [f"w{i}" for i in range(600)]
+    vectors = tmp_path / "vectors.txt"
+    gen.write_vectors(vectors, np.random.default_rng(5), words)
+    wanted = words[::7] + ["absent"]
+    token_to_id, matrix_bytes, unk_id = _assert_same_as_reference(vectors, wanted)
+    assert unk_id == len(words[::7]) and len(matrix_bytes) == (unk_id + 1) * gen.DIM * 4
+
+
+def test_load_embeddings_never_holds_the_whole_file(tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    row = " ".join(["0.125"] * 300)
+    with open(vectors, "w", encoding="utf-8") as fh:
+        for i in range(4700):
+            fh.write(f"w{i} {row}\n")
+    assert vectors.stat().st_size >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        vocab = load_embeddings(vectors, ["w0", "w4699"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(vocab) == 3
+    assert peak < 2 * 2**20, peak
 
 
 def test_vocabulary_ids_are_dense():

@@ -535,6 +535,62 @@ def test_grid_rows_name_the_runs_dev_metric(fixtures_dir, tmp_path):
         assert row["dev_span_f1"] == max(record["dev_span_f1"] for record in log)
 
 
+def _counting_load_domain(monkeypatch) -> list:
+    calls = []
+
+    def counting(config, *args, real=harness.load_domain, **kwargs):
+        calls.append(config)
+        return real(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "load_domain", counting)
+    return calls
+
+
+@pytest.mark.parametrize("vectors, grid, loads", [
+    (False, {"lr": [0.01, 0.02], "l2_lambda": [0.0, 0.001]}, 1),
+    (False, {"seed": [3, 5], "lr": [0.01, 0.02]}, 2),  # random word rows are seeded
+    (True, {"seed": [3, 5], "lr": [0.01, 0.02]}, 1),
+])
+def test_grid_loads_once_per_setting_of_the_data_fields(fixtures_dir, tmp_path, monkeypatch, vectors, grid, loads):
+    overrides = {"embeddings_path": str(fixtures_dir / "mini_vectors.txt")} if vectors else {}
+    config = tiny_config(fixtures_dir, tmp_path / "grid", dev_fraction=0.2, epochs=1, **overrides)
+    calls = _counting_load_domain(monkeypatch)
+    rows = grid_search(config, grid)
+    assert len(calls) == loads
+    assert not any("error" in row for row in rows)
+
+
+@pytest.mark.parametrize("grid", [
+    {"lr": [0.001, 0.002], "l2_lambda": [1e-6, 0.001]},  # the README's grid
+    {"seed": [3, 5]},
+])
+def test_grid_points_match_single_runs_byte_for_byte(fixtures_dir, tmp_path, grid):
+    config = tiny_config(fixtures_dir, tmp_path / "grid", dev_fraction=0.2, epochs=2)
+    rows = grid_search(config, grid)
+    ranked = []
+    for row in rows:
+        single = train(dataclasses.replace(config, **row["params"], run_name=row["name"],
+                                           checkpoint_dir=str(tmp_path / "single")))
+        ranked.append((single.best_dev, row["params"].get("l2_lambda", config.l2_lambda),
+                       row["params"].get("lr", config.lr)))
+        assert row == {"params": row["params"], "dev_macro_f1": single.best_dev, "name": row["name"],
+                       "best_checkpoint": str(tmp_path / "grid" / "ckpt" / f"{row['name']}.best.ckpt")}
+        for kind in ("best.ckpt", "final.ckpt", "log.jsonl"):
+            grid_file = tmp_path / "grid" / "ckpt" / f"{row['name']}.{kind}"
+            assert grid_file.read_bytes() == (tmp_path / "single" / f"{row['name']}.{kind}").read_bytes()
+    assert ranked == sorted(ranked, key=lambda item: (-item[0], item[1], item[2]))
+
+
+def test_grid_gives_a_failed_load_to_every_point_of_its_setting(fixtures_dir, tmp_path, monkeypatch):
+    config = tiny_config(tmp_path / "no-data", tmp_path / "grid", epochs=1)
+    calls = _counting_load_domain(monkeypatch)
+    rows = grid_search(config, {"lr": [0.01, -1.0, 0.02]})
+    missing = f"FileNotFoundError: missing dataset file {tmp_path / 'no-data' / 'laptop_train.xml'}"
+    assert sorted(row["error"] for row in rows) == [
+        "ConfigError: lr must be finite and non-negative, got -1.0", missing, missing]  # its own error first
+    assert len(calls) == 1
+
+
 def test_grid_requires_nonempty_grid(fixtures_dir, tmp_path):
     with pytest.raises(ConfigError):
         grid_search(tiny_config(fixtures_dir, tmp_path), {})
