@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from pathlib import Path
 
 from .checkpoint import load_archive, save_archive
 from .data import Vocabulary, build_dataset, collect_tokens, load_embeddings, polarity_counts, read_semeval, split_sa_ma
@@ -20,10 +19,8 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     cross_domain_run,
-    dataset_sentence_ids,
     dump_attention,
     evaluate,
-    export_transfer_cache,
     grid_search,
     input_mode_from_meta,
     load_domain,
@@ -31,6 +28,8 @@ from .harness import (
     majority_report,
     parse_kv_file,
     train,
+    transfer_rows,
+    transfer_width,
 )
 from .metrics import format_report
 
@@ -78,16 +77,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_export_st(args) -> int:
     config = _config_from_args(args)
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise FileNotFoundError(f"missing AE checkpoint {ckpt}")
-    dataset, vocab = _load_samples(config, args.split)
-    model, _, meta = load_model(ckpt, vocab.matrix)
-    if meta.get("task") != "ae":
-        raise ValueError(f"export-st needs an AE checkpoint, got task {meta.get('task')!r}")
-    cache = export_transfer_cache(model, dataset_sentence_ids(dataset, vocab))
+    datasets, vocab = load_domain(config, require=())
+    if not datasets:
+        raise FileNotFoundError(f"no train or test file for domain {config.domain!r}")
+    cache = transfer_rows(args.checkpoint, datasets, vocab)
+    width = transfer_width(cache, args.checkpoint)
     save_archive(args.out, cache)
-    print(f"wrote {len(cache)} transfer matrices (width {model.transfer_dim}) to {args.out}")
+    print(f"wrote {len(cache)} transfer matrices (width {width}) to {args.out}")
     return 0
 
 
@@ -172,8 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-st", help="export frozen transfer rows for a dataset")
     _add_config_flags(p)
     p.add_argument("--checkpoint", required=True, help="AE checkpoint to export from")
-    p.add_argument("--split", default="train", choices=("train", "test"))
-    p.add_argument("--out", required=True, help="output transfer-row archive")
+    p.add_argument("--out", required=True, help="output transfer-row archive, one entry per sentence of every split")
     p.set_defaults(fn=_cmd_export_st)
 
     p = sub.add_parser("train-alsa", help="train a sentiment classifier")

@@ -45,7 +45,7 @@ class ExperimentConfig:
     ae_domain: str | None = None  # AE model domain for transfer runs
     lr: float = 0.001
     l2_lambda: float = 0.0
-    transfer_dim: int = 64  # width of the auxiliary rows (transfer/noise)
+    transfer_dim: int = 64  # width of the noise rows; a transfer run takes the rows' own
     ae_hidden: int = 32
     alsa_hidden: int = 128
     embedding_dim: int = 300  # width of the random rows; a vector file sets its own
@@ -310,12 +310,37 @@ def training_accuracy(model, samples: Sequence[AlsaSample], mode: InputMode, emb
 
 def export_transfer_cache(model: ae_mod.AeModel,
                           sentences: Sequence[tuple[str, Sequence[int]]]) -> dict[str, np.ndarray]:
-    """Frozen transfer rows for every (sentence_id, token_ids) pair."""
-    return {sid: ae_mod.export_transfer(model, ids) for sid, ids in sentences if len(ids)}
+    """Frozen transfer rows for every (sentence_id, token_ids) pair; an id
+    may repeat only with the same token ids, and is exported once."""
+    given: dict[str, tuple[int, ...]] = {}
+    for sid, ids in sentences:
+        if given.setdefault(sid, tuple(ids)) != tuple(ids):
+            raise ValueError(f"sentence id {sid!r} is given two different token sequences")
+    return {sid: ae_mod.export_transfer(model, ids) for sid, ids in given.items() if ids}
 
 
 def dataset_sentence_ids(dataset: Dataset, vocab: Vocabulary) -> list[tuple[str, tuple[int, ...]]]:
     return [(s.sentence_id, vocab.ids(t.text for t in s.tokens)) for s in dataset.sentences]
+
+
+def transfer_rows(checkpoint_path, datasets: dict[str, Dataset], vocab: Vocabulary) -> dict[str, np.ndarray]:
+    """Transfer rows of the AE checkpoint at `checkpoint_path` for every
+    sentence of every split in `datasets`, as `load_domain` returned them."""
+    if not Path(checkpoint_path).exists():
+        raise FileNotFoundError(f"missing AE checkpoint {checkpoint_path}")
+    model, _, meta = load_model(checkpoint_path, vocab.matrix)
+    if meta.get("task") != "ae":
+        raise ValueError(f"{checkpoint_path}: transfer rows need an AE checkpoint, got task {meta.get('task')!r}")
+    return export_transfer_cache(model, [pair for split in datasets.values() for pair in dataset_sentence_ids(split, vocab)])
+
+
+def transfer_width(rows: dict[str, np.ndarray], source) -> int:
+    """The width every (tokens x width) matrix in `rows` shares; `source` names them."""
+    widths = {np.shape(matrix)[1:] for matrix in rows.values()}  # (width,) for each matrix
+    if len(widths) != 1 or len(min(widths)) != 1:
+        raise ConfigError(f"{source}: transfer rows must be tokens x width with one width, got "
+                          f"{sorted(widths) or 'no rows'}")
+    return widths.pop()[0]
 
 
 # -- file-based orchestration ----------------------------------------------------------
@@ -335,10 +360,13 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
                   st_source: dict[str, np.ndarray] | None) -> TrainResult:
     """`train` on the datasets and vocabulary `load_domain(config)` returned."""
     train_set = datasets["train"]
-    if config.input_mode == "transfer" and st_source is None:
-        if not config.st_cache_path:
-            raise ConfigError("transfer mode requires st_cache_path")
-        st_source = load_archive(config.st_cache_path)
+    if config.input_mode == "transfer":
+        source = "st_source"
+        if st_source is None:
+            if not config.st_cache_path:
+                raise ConfigError("transfer mode requires st_cache_path")
+            st_source, source = load_archive(config.st_cache_path), config.st_cache_path
+        config = replace(config, transfer_dim=transfer_width(st_source, source))
     adam = AdamConfig(lr=config.lr, l2_lambda=config.l2_lambda)
     embeddings = vocab.matrix
 
@@ -602,18 +630,12 @@ def cross_domain_run(config: ExperimentConfig) -> MetricsReport:
     if config.ae_domain is None:
         raise ConfigError("cross-domain runs need ae_domain")
     ae_domain, alsa_domain = config.ae_domain, config.domain
-    ckpt = ae_checkpoint_path(config, ae_domain)
-    if not ckpt.exists():
-        raise FileNotFoundError(f"missing AE checkpoint {ckpt} for domain {ae_domain!r}")
     run_config = replace(config, task="alsa", input_mode="transfer",
                          run_name=f"{config.architecture}-t_{alsa_domain}_from_{ae_domain}")
     datasets, vocab = load_domain(run_config)
-    ae_model, _, _ = load_model(ckpt, vocab.matrix)
-    st_source = {}
-    for split_dataset in datasets.values():
-        st_source.update(export_transfer_cache(ae_model, dataset_sentence_ids(split_dataset, vocab)))
+    st_source = transfer_rows(ae_checkpoint_path(config, ae_domain), datasets, vocab)
     # the splits loaded above are what train would load: same files, same vocabulary
-    result = _train_loaded(replace(run_config, transfer_dim=ae_model.transfer_dim), datasets, vocab, st_source)
+    result = _train_loaded(run_config, datasets, vocab, st_source)
     report = evaluate(result.best_checkpoint, datasets["test"].samples, vocab.matrix, st_source)
     report.extras.update({"ae_domain": ae_domain, "alsa_domain": alsa_domain})
     return report

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from absalab.checkpoint import load_archive
+from absalab.checkpoint import load_archive, save_archive
 from absalab.cli import build_parser, main
 
 
@@ -104,18 +105,17 @@ def test_full_transfer_pipeline_via_cli(capsys, fixtures_dir, tmp_path):
     assert code == 0, err
     ae_ckpt = str(tmp_path / "ckpt" / "ae_laptop.best.ckpt")
 
-    # 2) export transfer rows for train split
-    st_path = str(tmp_path / "laptop_train.st")
-    code, out, err = run_cli(capsys, "export-st", "--checkpoint", ae_ckpt,
-                             "--split", "train", "--out", st_path,
+    # 2) export transfer rows for every split
+    st_path = str(tmp_path / "laptop.st")
+    code, out, err = run_cli(capsys, "export-st", "--checkpoint", ae_ckpt, "--out", st_path,
                              *base_args(fixtures_dir, tmp_path))
     assert code == 0, err
     cache = load_archive(st_path)
+    assert sorted(cache) == ["lt1", "lt2", "lt3", "lt4", "lt5", "lt6", "lv1", "lv2", "lv3", "lv4"]
     assert all(m.shape[1] == 6 for m in cache.values())
 
     # 3) train the widened classifier against the cache
-    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer",
-                             "--transfer-dim", "6", "--st-cache-path", st_path,
+    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer", "--st-cache-path", st_path,
                              *base_args(fixtures_dir, tmp_path))
     assert code == 0, err
     assert "checkpoint:" in out
@@ -131,10 +131,99 @@ def test_export_st_takes_the_width_from_the_model(capsys, fixtures_dir, tmp_path
     del meta["transfer_dim"]
     sidecar.write_text(json.dumps(meta), encoding="utf-8")
     st_path = tmp_path / "laptop_train.st"
-    code, out, err = run_cli(capsys, "export-st", "--checkpoint", str(ae_ckpt), "--split", "train",
+    code, out, err = run_cli(capsys, "export-st", "--checkpoint", str(ae_ckpt),
                              "--out", str(st_path), *base_args(fixtures_dir, tmp_path))
     assert code == 0, err
-    assert f"transfer matrices (width 6) to {st_path}" in out
+    assert f"wrote 10 transfer matrices (width 6) to {st_path}" in out
+
+
+def test_transfer_run_takes_its_width_from_the_one_archive_of_every_split(capsys, fixtures_dir, tmp_path):
+    args = base_args(fixtures_dir, tmp_path, **{"--ae-hidden": "4"})  # no --transfer-dim: the default, 64, stays
+    code, _, err = run_cli(capsys, "train-ae", *args)
+    assert code == 0, err
+    st_path = str(tmp_path / "laptop.st")
+    code, _, err = run_cli(capsys, "export-st", "--checkpoint", str(tmp_path / "ckpt" / "ae_laptop.best.ckpt"),
+                           "--out", st_path, *args)
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer", "--st-cache-path", st_path, *args)
+    assert code == 0, err
+    ckpt = out.strip().splitlines()[-1].split(": ", 1)[1]
+    assert json.loads(Path(f"{ckpt}.meta.json").read_text(encoding="utf-8"))["transfer_dim"] == 8
+    code, out, err = run_cli(capsys, "eval", "--checkpoint", ckpt, "--split", "test", "--st-cache-path", st_path, *args)
+    assert code == 0, err
+    assert json.loads(out.strip().splitlines()[-1])["count"] == 4
+    dump_path = tmp_path / "attn.jsonl"
+    code, _, err = run_cli(capsys, "dump-attention", "--checkpoint", ckpt, "--split", "test", "--out", str(dump_path),
+                           "--st-cache-path", st_path, *args)
+    assert code == 0, err
+    assert len(dump_path.read_text(encoding="utf-8").splitlines()) == 4
+
+
+@pytest.mark.parametrize("rows, problem", [
+    ({}, "no rows"),
+    ({"lt1": np.zeros((5, 6), np.float32), "lt2": np.zeros((4, 8), np.float32)}, "[(6,), (8,)]"),
+])
+def test_transfer_run_refuses_rows_without_one_width(capsys, fixtures_dir, tmp_path, rows, problem):
+    st_path = tmp_path / "bad.st"
+    save_archive(st_path, rows)
+    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer", "--st-cache-path", str(st_path),
+                             *base_args(fixtures_dir, tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"ConfigError: {st_path}: transfer rows must be tokens x width with one width, got {problem}"}
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
+@pytest.mark.parametrize("task", ["alsa", "multitask"])
+@pytest.mark.parametrize("command", ["export-st", "cross-domain"])
+def test_transfer_rows_refuse_a_checkpoint_that_is_not_an_extractor(capsys, fixtures_dir, tmp_path, task, command):
+    code, out, err = run_cli(capsys, "train-alsa", "--task", task, *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    trained = out.strip().splitlines()[-1].split(": ", 1)[1]
+    ae_ckpt = tmp_path / "ckpt" / "ae_laptop.best.ckpt"
+    ae_ckpt.write_bytes(Path(trained).read_bytes())
+    Path(f"{ae_ckpt}.meta.json").write_bytes(Path(f"{trained}.meta.json").read_bytes())
+    argv = {"export-st": ["--checkpoint", str(ae_ckpt), "--out", str(tmp_path / "rows.st")],
+            "cross-domain": ["--ae-domain", "laptop", "--domain", "restaurant"]}[command]
+    code, out, err = run_cli(capsys, command, *argv, *base_args(fixtures_dir, tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"ValueError: {ae_ckpt}: transfer rows need an AE checkpoint, got task {task!r}"}
+    assert not (tmp_path / "rows.st").exists()
+
+
+def test_export_st_refuses_an_id_two_splits_give_different_tokens(capsys, fixtures_dir, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "laptop_train.xml").write_bytes((fixtures_dir / "laptop_train.xml").read_bytes())
+    test_xml = (fixtures_dir / "laptop_test.xml").read_text(encoding="utf-8")
+    (data / "laptop_test.xml").write_text(test_xml.replace('id="lv3"', 'id="lt3"'), encoding="utf-8")
+    code, _, err = run_cli(capsys, "train-ae", *base_args(data, tmp_path))
+    assert code == 0, err
+    st_path = tmp_path / "laptop.st"
+    code, out, err = run_cli(capsys, "export-st", "--checkpoint", str(tmp_path / "ckpt" / "ae_laptop.best.ckpt"),
+                             "--out", str(st_path), *base_args(data, tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "ValueError: sentence id 'lt3' is given two different token sequences"}
+    assert not st_path.exists()
+
+
+def test_export_st_reads_whichever_split_is_there(capsys, fixtures_dir, tmp_path):
+    code, _, err = run_cli(capsys, "train-ae", *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    ae_ckpt = str(tmp_path / "ckpt" / "ae_laptop.best.ckpt")
+    st_path = tmp_path / "test_only.st"
+    test_only = ["--train-xml", str(tmp_path / "absent.xml"), "--test-xml", str(fixtures_dir / "laptop_test.xml")]
+    code, out, err = run_cli(capsys, "export-st", "--checkpoint", ae_ckpt, "--out", str(st_path),
+                             *base_args(fixtures_dir, tmp_path), *test_only)
+    assert code == 0, err
+    assert sorted(load_archive(st_path)) == ["lv1", "lv2", "lv3", "lv4"]
+    code, out, err = run_cli(capsys, "export-st", "--checkpoint", ae_ckpt, "--out", str(st_path),
+                             *base_args(tmp_path / "nowhere", tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "FileNotFoundError: no train or test file for domain 'laptop'"}
 
 
 def test_dump_attention_command(capsys, fixtures_dir, tmp_path):
@@ -364,18 +453,33 @@ def test_a_bad_config_line_is_refused_even_when_a_flag_sets_its_key(capsys, fixt
     assert not (tmp_path / "ckpt").exists()  # nothing trained
 
 
-def test_readme_command_lines_parse():
+def readme_commands() -> list[list[str]]:
+    """The argv of each `absalab` line in README's command block, in order."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)  # the first block; the demos follow
     lines = [line.strip() for line in block.replace("\\\n", " ").splitlines()]
-    commands = [shlex.split(line)[1:] for line in lines if line.startswith("absalab ")]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("absalab ")]
+
+
+def test_readme_command_lines_parse():
+    commands = readme_commands()
     assert len(commands) == 11
     for argv in commands:
         args = build_parser().parse_args(argv)  # argparse exits on an unknown flag or missing argument
         assert args.command == argv[0]
     subcommands, = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in commands} == set(subcommands)  # every subcommand has an example
+
+
+def test_readme_commands_run_in_order_on_the_fixtures(capsys, fixtures_dir, tmp_path):
+    places = {"data": str(fixtures_dir), "runs": str(tmp_path)}
+    for argv in readme_commands():
+        argv = [re.sub(r"^(data|runs)(?=/|$)", lambda m: places[m.group(1)], arg) for arg in argv]
+        code, _, err = run_cli(capsys, *argv, *([] if argv[0] == "ingest" else ["--epochs", "1"]))
+        assert code == 0, (argv, err)
+    assert len(load_archive(tmp_path / "laptop.st")) == 10  # one archive of both splits
+    assert (tmp_path / "atae_attention.jsonl").exists()
 
 
 def test_training_is_bit_identical_with_one_or_two_blas_threads(fixtures_dir, tmp_path):

@@ -629,10 +629,27 @@ def test_transfer_pipeline_in_memory(fixtures_dir, tmp_path):
     datasets, vocab = load_domain(ae_config)
     cache = export_transfer_cache(ae_result.model, dataset_sentence_ids(datasets["train"], vocab))
     assert all(matrix.shape[1] == 6 for matrix in cache.values())
-    t_config = tiny_config(fixtures_dir, tmp_path, input_mode="transfer", transfer_dim=6, epochs=1)
+    t_config = tiny_config(fixtures_dir, tmp_path, input_mode="transfer", epochs=1)
     result = train(t_config, st_source=cache)
     assert result.meta["input_mode"] == "transfer"
+    assert result.meta["transfer_dim"] == 6  # the rows' width, not the config's 64
     assert result.model.lstm.input_dim == 2 * 14  # word and aspect rows, each 8 + 6 wide
+    cache["lt1"] = np.zeros((len(cache["lt1"]), 5), np.float32)
+    with pytest.raises(ConfigError, match=re.escape("st_source: transfer rows must be tokens x width with one "
+                                                    "width, got [(5,), (6,)]")):
+        train(t_config, st_source=cache)
+
+
+def test_a_repeated_sentence_id_exports_once_and_only_with_the_same_tokens(rng, monkeypatch):
+    model = AeModel.create(ParamStore(), rng.standard_normal((6, 4)).astype(np.float32), hidden_dim=2,
+                           rng=np.random.default_rng(0))
+    calls = []
+    export = harness.ae_mod.export_transfer
+    monkeypatch.setattr(harness.ae_mod, "export_transfer", lambda m, ids: calls.append(tuple(ids)) or export(m, ids))
+    rows = export_transfer_cache(model, [("a", (1, 2)), ("b", [3]), ("a", [1, 2])])
+    assert list(rows) == ["a", "b"] and calls == [(1, 2), (3,)]
+    with pytest.raises(ValueError, match="^sentence id 'a' is given two different token sequences$"):
+        export_transfer_cache(model, [("a", (1, 2)), ("a", (1, 3))])
 
 
 def test_cross_domain_run_all_twelve_cells(fixtures_dir, tmp_path):
