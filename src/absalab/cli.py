@@ -14,7 +14,7 @@ import json
 import sys
 
 from .checkpoint import load_archive, save_archive
-from .data import Vocabulary, build_dataset, collect_tokens, load_embeddings, polarity_counts, read_semeval, split_sa_ma
+from .data import polarity_counts, split_sa_ma
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -50,12 +50,22 @@ def _config_from_args(args: argparse.Namespace, **forced) -> ExperimentConfig:
         if value is not None:
             mapping[f.name] = value
     mapping.update(forced)
-    return ExperimentConfig.from_mapping(mapping)
+    config = ExperimentConfig.from_mapping(mapping)
+    if config.input_mode == "transfer" and "transfer_dim" in mapping:
+        raise ConfigError("a transfer run takes its width from st_cache_path; transfer_dim sets only the noise width")
+    return config
 
 
 def _load_samples(config: ExperimentConfig, split: str):
     datasets, vocab = load_domain(config, require=(split,))
     return datasets[split], vocab
+
+
+def _load_found_splits(config: ExperimentConfig):
+    datasets, vocab = load_domain(config, require=())
+    if not datasets:
+        raise FileNotFoundError(f"no train or test file for domain {config.domain!r}")
+    return datasets, vocab
 
 
 def _print_report(report, title: str) -> None:
@@ -76,10 +86,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_export_st(args) -> int:
-    config = _config_from_args(args)
-    datasets, vocab = load_domain(config, require=())
-    if not datasets:
-        raise FileNotFoundError(f"no train or test file for domain {config.domain!r}")
+    datasets, vocab = _load_found_splits(_config_from_args(args))
     cache = transfer_rows(args.checkpoint, datasets, vocab)
     width = transfer_width(cache, args.checkpoint)
     save_archive(args.out, cache)
@@ -91,8 +98,7 @@ def _cmd_eval(args) -> int:
     config = _config_from_args(args)
     dataset, vocab = _load_samples(config, args.split)
     st_source = load_archive(config.st_cache_path) if config.st_cache_path else None
-    report = evaluate(args.checkpoint, dataset.samples, vocab.matrix, st_source=st_source,
-                      expected_architecture=args.expect_architecture)
+    report = evaluate(args.checkpoint, dataset.samples, vocab.matrix, st_source=st_source)
     _print_report(report, f"{args.checkpoint} on {config.domain} {args.split}")
     return 0
 
@@ -140,19 +146,14 @@ def _cmd_majority(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    """Parse one XML file and print the class/SA/MA distribution."""
-    parsed = read_semeval(args.xml)
-    if args.embeddings:
-        vocab = load_embeddings(args.embeddings, collect_tokens(parsed))
-    else:
-        vocab = Vocabulary.random(collect_tokens(parsed), dim=16, seed=0)
-    dataset = build_dataset(parsed, args.domain, vocab)
-    pos, neg, neu = polarity_counts(dataset.samples)
-    sa, ma = split_sa_ma(dataset.samples)
-    summary = {"sentences": len(dataset.sentences), "samples": len(dataset.samples),
-               "positive": pos, "negative": neg, "neutral": neu,
-               "sa": len(sa), "ma": len(ma)}
-    print(json.dumps(summary, sort_keys=True))
+    """Print each found split's class/SA/MA distribution, one JSON line per split."""
+    datasets, _ = _load_found_splits(_config_from_args(args))
+    for split, dataset in datasets.items():
+        pos, neg, neu = polarity_counts(dataset.samples)
+        sa, ma = split_sa_ma(dataset.samples)
+        summary = {"split": split, "sentences": len(dataset.sentences), "samples": len(dataset.samples),
+                   "positive": pos, "negative": neg, "neutral": neu, "sa": len(sa), "ma": len(ma)}
+        print(json.dumps(summary, sort_keys=True))
     return 0
 
 
@@ -179,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=("train", "test"))
-    p.add_argument("--expect-architecture", default=None)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("grid-search", help="train one run per grid point, rank by dev score")
@@ -202,10 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.set_defaults(fn=_cmd_majority)
 
-    p = sub.add_parser("ingest", help="parse one dataset file and print its distribution")
-    p.add_argument("--xml", required=True)
-    p.add_argument("--domain", default="laptop")
-    p.add_argument("--embeddings", default=None, help="vector file; its first line sets the width")
+    p = sub.add_parser("ingest", help="print each dataset split's distribution")
+    _add_config_flags(p)
     p.set_defaults(fn=_cmd_ingest)
 
     return parser

@@ -468,13 +468,8 @@ def build_model_from_meta(store: ParamStore, meta: dict, embeddings: np.ndarray)
     raise ValueError(f"cannot rebuild model for task {task!r}")
 
 
-def load_model(checkpoint_path, embeddings: np.ndarray,
-               expected_architecture: str | None = None) -> tuple[object, ParamStore, dict]:
+def load_model(checkpoint_path, embeddings: np.ndarray) -> tuple[object, ParamStore, dict]:
     values, meta = load_checkpoint(checkpoint_path)
-    if expected_architecture and meta.get("architecture") != expected_architecture:
-        raise ValueError(
-            f"checkpoint architecture {meta.get('architecture')!r} does not match expected {expected_architecture!r}"
-        )
     sidecar = f"{checkpoint_path}.meta.json"
     input_mode = meta.get("input_mode", "plain")
     if input_mode not in INPUT_MODES:
@@ -533,10 +528,9 @@ def input_mode_from_meta(meta: dict, st_source: dict[str, np.ndarray] | None = N
 
 
 def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndarray,
-             st_source: dict[str, np.ndarray] | None = None,
-             expected_architecture: str | None = None) -> MetricsReport:
+             st_source: dict[str, np.ndarray] | None = None) -> MetricsReport:
     """Pure function of (checkpoint, dataset): rebuild the model and score."""
-    model, _, meta = load_model(checkpoint_path, embeddings, expected_architecture)
+    model, _, meta = load_model(checkpoint_path, embeddings)
     if meta.get("task") == "ae":
         raise ValueError("evaluate scores sentiment checkpoints; tagging models are scored by span F1")
     mode = input_mode_from_meta(meta, st_source)

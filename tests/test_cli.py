@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from absalab.checkpoint import load_archive, save_archive
 from absalab.cli import build_parser, main
+from absalab.harness import ExperimentConfig
 
 
 def run_cli(capsys, *argv):
@@ -48,19 +50,35 @@ def test_majority_command_reports_fixture_value(capsys, fixtures_dir, tmp_path):
 
 
 def test_ingest_command_counts(capsys, fixtures_dir, tmp_path):
-    code, out, err = run_cli(capsys, "ingest", "--xml", str(fixtures_dir / "laptop_train.xml"))
+    code, out, err = run_cli(capsys, "ingest", "--train-xml", str(fixtures_dir / "laptop_train.xml"))
     assert code == 0, err
     summary = json.loads(out.strip().splitlines()[-1])
-    assert summary == {"sentences": 6, "samples": 5, "positive": 1, "negative": 3,
+    assert summary == {"split": "train", "sentences": 6, "samples": 5, "positive": 1, "negative": 3,
                        "neutral": 1, "sa": 3, "ma": 2}
+
+
+def test_ingest_command_prints_one_line_per_split_of_a_domain(capsys, fixtures_dir):
+    code, out, err = run_cli(capsys, "ingest", "--data-dir", str(fixtures_dir), "--domain", "laptop")
+    assert code == 0, err
+    assert [json.loads(line) for line in out.strip().splitlines()] == [
+        {"split": "train", "sentences": 6, "samples": 5, "positive": 1, "negative": 3, "neutral": 1, "sa": 3, "ma": 2},
+        {"split": "test", "sentences": 4, "samples": 4, "positive": 1, "negative": 2, "neutral": 1, "sa": 2, "ma": 2},
+    ]
+
+
+def test_ingest_command_refuses_a_domain_with_neither_split(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "ingest", "--data-dir", str(tmp_path), "--domain", "restaurant")
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "FileNotFoundError: no train or test file for domain 'restaurant'"}
 
 
 def test_ingest_command_takes_the_vector_width_from_the_file(capsys, fixtures_dir):
     xml = str(fixtures_dir / "laptop_train.xml")
-    code, plain, err = run_cli(capsys, "ingest", "--xml", xml)
+    code, plain, err = run_cli(capsys, "ingest", "--train-xml", xml)
     assert code == 0, err
-    code, with_vectors, err = run_cli(capsys, "ingest", "--xml", xml,
-                                      "--embeddings", str(fixtures_dir / "mini_vectors.txt"))  # 5-d
+    code, with_vectors, err = run_cli(capsys, "ingest", "--train-xml", xml,
+                                      "--embeddings-path", str(fixtures_dir / "mini_vectors.txt"))  # 5-d
     assert code == 0, err
     assert with_vectors == plain
 
@@ -68,8 +86,8 @@ def test_ingest_command_takes_the_vector_width_from_the_file(capsys, fixtures_di
 def test_ingest_command_names_the_line_of_a_short_vector(capsys, fixtures_dir, tmp_path):
     vectors = tmp_path / "short.txt"
     vectors.write_text("the 0.1 0.2 0.3\nscreen 0.4 0.5 0.6\nbattery 0.7 0.8\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "ingest", "--xml", str(fixtures_dir / "laptop_train.xml"),
-                           "--embeddings", str(vectors))
+    code, _, err = run_cli(capsys, "ingest", "--train-xml", str(fixtures_dir / "laptop_train.xml"),
+                           "--embeddings-path", str(vectors))
     assert code == 1
     message = json.loads(err.strip().splitlines()[-1])["error"]
     assert "line 3: vector has 2 values, expected 3" in message
@@ -80,7 +98,7 @@ def test_ingest_command_error_names_file_and_sentence(capsys, tmp_path):
     xml.write_text("""<sentences><sentence id="s5"><text>hi there</text><aspectTerms>
       <aspectTerm term="hi" polarity="positive" from="x4" to="2"/></aspectTerms></sentence></sentences>""",
                    encoding="utf-8")
-    code, _, err = run_cli(capsys, "ingest", "--xml", str(xml))
+    code, _, err = run_cli(capsys, "ingest", "--train-xml", str(xml))
     assert code == 1
     message = json.loads(err.strip().splitlines()[-1])["error"]
     assert message.startswith("IngestError: ") and "bad.xml" in message
@@ -172,6 +190,25 @@ def test_transfer_run_refuses_rows_without_one_width(capsys, fixtures_dir, tmp_p
     assert json.loads(err.strip().splitlines()[-1]) == {
         "error": f"ConfigError: {st_path}: transfer rows must be tokens x width with one width, got {problem}"}
     assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
+@pytest.mark.parametrize("source", ["flag", "config line"])
+def test_transfer_run_refuses_a_transfer_dim_and_a_noise_run_takes_it(capsys, fixtures_dir, tmp_path, source):
+    st_path = tmp_path / "laptop.st"
+    save_archive(st_path, {"lt1": np.zeros((5, 6), np.float32)})  # 6 wide
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("transfer_dim = 7\n", encoding="utf-8")
+    given = ["--transfer-dim", "7"] if source == "flag" else ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer", "--st-cache-path", str(st_path),
+                             *given, *base_args(fixtures_dir, tmp_path))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {"error": "ConfigError: a transfer run takes its width from "
+                                                        "st_cache_path; transfer_dim sets only the noise width"}
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "noise", *given, *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    ckpt = out.strip().splitlines()[-1].split(": ", 1)[1]
+    assert json.loads(Path(f"{ckpt}.meta.json").read_text(encoding="utf-8"))["transfer_dim"] == 7
 
 
 @pytest.mark.parametrize("task", ["alsa", "multitask"])
@@ -470,6 +507,18 @@ def test_readme_command_lines_parse():
         assert args.command == argv[0]
     subcommands, = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert {argv[0] for argv in commands} == set(subcommands)  # every subcommand has an example
+
+
+def test_readme_examples_use_every_flag_of_their_subcommand():
+    examples: dict[str, set[str]] = {}
+    for argv in readme_commands():
+        examples.setdefault(argv[0], set()).update(arg for arg in argv if arg.startswith("--"))
+    mirrors = {"--config"} | {"--" + f.name.replace("_", "-") for f in dataclasses.fields(ExperimentConfig)}
+    subcommands, = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in subcommands.items():
+        own = {flag for action in parser._actions for flag in action.option_strings
+               if flag.startswith("--") and flag not in mirrors | {"--help"}}
+        assert own <= examples[name], (name, sorted(own - examples[name]))  # each flag shows in an example
 
 
 def test_readme_commands_run_in_order_on_the_fixtures(capsys, fixtures_dir, tmp_path):

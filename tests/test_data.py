@@ -1030,7 +1030,7 @@ def test_untokenizable_sentence_names_file_and_sentence(case, tmp_path, capsys):
     expected = f"{re.escape(str(path))}: sentence 's2': {message}"
     with pytest.raises(IngestError, match=expected):
         load_domain(ExperimentConfig(data_dir=str(tmp_path), embedding_dim=4), require=("train",))
-    assert main(["ingest", "--xml", str(path)]) == 1
+    assert main(["ingest", "--train-xml", str(path)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
     assert re.search(f"IngestError: {expected}", error)
 

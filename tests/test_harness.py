@@ -363,15 +363,6 @@ def test_evaluate_is_pure_and_slices_partition(fixtures_dir, tmp_path):
     assert report_a.extras["architecture"] == "atae"
 
 
-def test_evaluate_architecture_mismatch_errors(fixtures_dir, tmp_path):
-    config = tiny_config(fixtures_dir, tmp_path)
-    result = train(config)
-    datasets, vocab = load_domain(config)
-    with pytest.raises(ValueError, match="architecture"):
-        evaluate(result.best_checkpoint, datasets["test"].samples, vocab.matrix,
-                 expected_architecture="ian")
-
-
 def test_evaluate_rejects_ae_checkpoints(fixtures_dir, tmp_path):
     config = tiny_config(fixtures_dir, tmp_path, task="ae", epochs=1)
     result = train(config)
