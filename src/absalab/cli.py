@@ -14,7 +14,7 @@ import json
 import sys
 
 from .checkpoint import load_archive, save_archive
-from .data import polarity_counts, split_sa_ma
+from .data import Vocabulary, build_dataset, polarity_counts, split_sa_ma
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -23,6 +23,7 @@ from .harness import (
     evaluate,
     grid_search,
     input_mode_from_meta,
+    load_corpus,
     load_domain,
     load_model,
     majority_report,
@@ -50,22 +51,13 @@ def _config_from_args(args: argparse.Namespace, **forced) -> ExperimentConfig:
         if value is not None:
             mapping[f.name] = value
     mapping.update(forced)
-    config = ExperimentConfig.from_mapping(mapping)
-    if config.input_mode == "transfer" and "transfer_dim" in mapping:
-        raise ConfigError("a transfer run takes its width from st_cache_path; transfer_dim sets only the noise width")
-    return config
+    return ExperimentConfig.from_mapping(mapping)
 
 
-def _load_samples(config: ExperimentConfig, split: str):
+def _load_split(config: ExperimentConfig, split: str):
+    """The split's dataset, its vocabulary, and the transfer rows of `st_cache_path` if set."""
     datasets, vocab = load_domain(config, require=(split,))
-    return datasets[split], vocab
-
-
-def _load_found_splits(config: ExperimentConfig):
-    datasets, vocab = load_domain(config, require=())
-    if not datasets:
-        raise FileNotFoundError(f"no train or test file for domain {config.domain!r}")
-    return datasets, vocab
+    return datasets[split], vocab, load_archive(config.st_cache_path) if config.st_cache_path else None
 
 
 def _print_report(report, title: str) -> None:
@@ -86,7 +78,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_export_st(args) -> int:
-    datasets, vocab = _load_found_splits(_config_from_args(args))
+    datasets, vocab = load_domain(_config_from_args(args), require=())
     cache = transfer_rows(args.checkpoint, datasets, vocab)
     width = transfer_width(cache, args.checkpoint)
     save_archive(args.out, cache)
@@ -96,8 +88,7 @@ def _cmd_export_st(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _config_from_args(args)
-    dataset, vocab = _load_samples(config, args.split)
-    st_source = load_archive(config.st_cache_path) if config.st_cache_path else None
+    dataset, vocab, st_source = _load_split(config, args.split)
     report = evaluate(args.checkpoint, dataset.samples, vocab.matrix, st_source=st_source)
     _print_report(report, f"{args.checkpoint} on {config.domain} {args.split}")
     return 0
@@ -128,9 +119,8 @@ def _cmd_cross_domain(args) -> int:
 
 def _cmd_dump_attention(args) -> int:
     config = _config_from_args(args)
-    dataset, vocab = _load_samples(config, args.split)
+    dataset, vocab, st_source = _load_split(config, args.split)
     model, _, meta = load_model(args.checkpoint, vocab.matrix)
-    st_source = load_archive(config.st_cache_path) if config.st_cache_path else None
     mode = input_mode_from_meta(meta, st_source)
     records = dump_attention(model, dataset.samples, mode, vocab.matrix, path=args.out)
     print(f"wrote {len(records)} attention records to {args.out}")
@@ -146,9 +136,10 @@ def _cmd_majority(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    """Print each found split's class/SA/MA distribution, one JSON line per split."""
-    datasets, _ = _load_found_splits(_config_from_args(args))
-    for split, dataset in datasets.items():
+    """Print each found split's class/SA/MA distribution, one JSON line per split; reads no vector file."""
+    config = _config_from_args(args)
+    for split, records in load_corpus(config, require=()).items():
+        dataset = build_dataset(records, config.domain, Vocabulary.random((), dim=1))  # the counts read no token id
         pos, neg, neu = polarity_counts(dataset.samples)
         sa, ma = split_sa_ma(dataset.samples)
         summary = {"split": split, "sentences": len(dataset.sentences), "samples": len(dataset.samples),

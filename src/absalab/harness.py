@@ -28,6 +28,7 @@ from .metrics import MetricsReport, macro_f1
 from .optim import AdamConfig, ParamStore, adam_step, forward_backward
 
 TASKS = ("ae", "alsa", "multitask")
+NOISE_DIM = 64  # width of a noise run's rows when transfer_dim is unset
 
 
 class ConfigError(ValueError):
@@ -45,7 +46,7 @@ class ExperimentConfig:
     ae_domain: str | None = None  # AE model domain for transfer runs
     lr: float = 0.001
     l2_lambda: float = 0.0
-    transfer_dim: int = 64  # width of the noise rows; a transfer run takes the rows' own
+    transfer_dim: int | None = None  # width of the extra rows: noise 64 if unset; transfer must match its rows
     ae_hidden: int = 32
     alsa_hidden: int = 128
     embedding_dim: int = 300  # width of the random rows; a vector file sets its own
@@ -77,7 +78,7 @@ class ExperimentConfig:
             raise ConfigError(f"dev_fraction must lie in [0, 1), got {self.dev_fraction}")
         for key, low in (("epochs", 0), ("ae_hidden", 1), ("alsa_hidden", 1), ("embedding_dim", 1), ("transfer_dim", 0),
                          ("seed", 0)):
-            if getattr(self, key) < low:
+            if getattr(self, key) is not None and getattr(self, key) < low:
                 raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.input_mode == "transfer" and self.ae_domain is None:
             self.ae_domain = self.domain  # in-domain transfer by default
@@ -134,8 +135,10 @@ def _coerce_fields(mapping: dict) -> dict:
 
 
 def _coerce(value, hint, key: str):
+    optional = type(None) in typing.get_args(hint)  # an `X | None` field reads as X, or empty as None
+    hint = typing.get_args(hint)[0] if optional else hint
     if value is None or (isinstance(value, str) and value.lower() in ("none", "null", "")):
-        if hint in (str, int, float):  # `str | None` fields accept empty
+        if not optional:
             raise ConfigError(f"config key {key!r} must not be empty")
         return None
     try:
@@ -160,15 +163,9 @@ def resolve_xml(config: ExperimentConfig, split: str) -> Path:
     return Path(config.data_dir) / f"{config.domain}_{split}.xml"
 
 
-def load_domain(config: ExperimentConfig,
-                require: Sequence[str] = ("train", "test")) -> tuple[dict[str, Dataset], Vocabulary]:
-    """Parse every split whose file exists and build one vocabulary over all.
-
-    A missing split named in `require` raises. Loading every available split
-    keeps the vocabulary identical between training and later evaluation,
-    which matters when no pretrained embedding file is configured and word
-    rows are seeded by token set.
-    """
+def load_corpus(config: ExperimentConfig, require: Sequence[str] = ("train", "test")) -> dict[str, list]:
+    """Parse every split whose file exists; a missing split named in
+    `require` raises, and so does a domain with neither split."""
     parsed = {}
     for split in ("train", "test"):
         try:
@@ -181,6 +178,20 @@ def load_domain(config: ExperimentConfig,
             parsed[split] = read_semeval(path)
         elif split in require:
             raise FileNotFoundError(f"missing dataset file {path}")
+    if not parsed:
+        raise FileNotFoundError(f"no train or test file for domain {config.domain!r}")
+    return parsed
+
+
+def load_domain(config: ExperimentConfig,
+                require: Sequence[str] = ("train", "test")) -> tuple[dict[str, Dataset], Vocabulary]:
+    """`load_corpus`, then one vocabulary over every split it parsed.
+
+    Building it over every available split keeps the vocabulary identical
+    between training and later evaluation, which matters when no pretrained
+    embedding file is configured and word rows are seeded by token set.
+    """
+    parsed = load_corpus(config, require)
     tokens = [token for records in parsed.values() for token in collect_tokens(records)]
     if config.embeddings_path:
         vocab = load_embeddings(config.embeddings_path, tokens)
@@ -360,13 +371,16 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
                   st_source: dict[str, np.ndarray] | None) -> TrainResult:
     """`train` on the datasets and vocabulary `load_domain(config)` returned."""
     train_set = datasets["train"]
+    width = config.transfer_dim  # of the rows appended to each word vector
     if config.input_mode == "transfer":
         source = "st_source"
         if st_source is None:
             if not config.st_cache_path:
                 raise ConfigError("transfer mode requires st_cache_path")
             st_source, source = load_archive(config.st_cache_path), config.st_cache_path
-        config = replace(config, transfer_dim=transfer_width(st_source, source))
+        width = transfer_width(st_source, source)
+        if config.transfer_dim not in (None, width):
+            raise ConfigError(f"{source}: transfer rows are {width} wide, but transfer_dim is {config.transfer_dim}")
     adam = AdamConfig(lr=config.lr, l2_lambda=config.l2_lambda)
     embeddings = vocab.matrix
 
@@ -413,8 +427,8 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
 
         dev_key, dev_score = "dev_macro_f1", lambda: _dev_macro_f1(model, dev_items, mode, embeddings)
         meta = {"task": "alsa", "architecture": config.architecture, "domain": config.domain,
-                "input_mode": config.input_mode, "transfer_dim": config.transfer_dim if config.input_mode != "plain" else 0,
-                "hidden": config.alsa_hidden, "embedding_dim": vocab.dim,
+                "input_mode": config.input_mode, "hidden": config.alsa_hidden, "embedding_dim": vocab.dim,
+                "transfer_dim": 0 if config.input_mode == "plain" else NOISE_DIM if width is None else width,
                 "seed": config.seed, "noise_seed": config.seed, "ae_domain": config.ae_domain}
 
     store = ParamStore()

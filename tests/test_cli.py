@@ -73,20 +73,28 @@ def test_ingest_command_refuses_a_domain_with_neither_split(capsys, tmp_path):
         "error": "FileNotFoundError: no train or test file for domain 'restaurant'"}
 
 
-def test_ingest_command_takes_the_vector_width_from_the_file(capsys, fixtures_dir):
-    xml = str(fixtures_dir / "laptop_train.xml")
-    code, plain, err = run_cli(capsys, "ingest", "--train-xml", xml)
-    assert code == 0, err
-    code, with_vectors, err = run_cli(capsys, "ingest", "--train-xml", xml,
-                                      "--embeddings-path", str(fixtures_dir / "mini_vectors.txt"))  # 5-d
-    assert code == 0, err
-    assert with_vectors == plain
+def test_ingest_command_reads_no_vector_file(capsys, fixtures_dir, tmp_path, monkeypatch):
+    from absalab import data, harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ingest opened a vector file")
+
+    monkeypatch.setattr(data, "load_embeddings", refuse)
+    monkeypatch.setattr(harness, "load_embeddings", refuse)
+    short = tmp_path / "short.txt"
+    short.write_text("the 0.1 0.2 0.3\nscreen 0.4 0.5\n", encoding="utf-8")
+    outputs = []
+    for vectors in ([], ["--embeddings-path", str(tmp_path / "missing.txt")], ["--embeddings-path", str(short)]):
+        code, out, err = run_cli(capsys, "ingest", "--data-dir", str(fixtures_dir), "--domain", "laptop", *vectors)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0].count("\n") == 2 and outputs == [outputs[0]] * 3
 
 
-def test_ingest_command_names_the_line_of_a_short_vector(capsys, fixtures_dir, tmp_path):
+def test_majority_command_names_the_line_of_a_short_vector(capsys, fixtures_dir, tmp_path):
     vectors = tmp_path / "short.txt"
     vectors.write_text("the 0.1 0.2 0.3\nscreen 0.4 0.5 0.6\nbattery 0.7 0.8\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "ingest", "--train-xml", str(fixtures_dir / "laptop_train.xml"),
+    code, _, err = run_cli(capsys, "majority", "--data-dir", str(fixtures_dir), "--domain", "laptop",
                            "--embeddings-path", str(vectors))
     assert code == 1
     message = json.loads(err.strip().splitlines()[-1])["error"]
@@ -156,7 +164,7 @@ def test_export_st_takes_the_width_from_the_model(capsys, fixtures_dir, tmp_path
 
 
 def test_transfer_run_takes_its_width_from_the_one_archive_of_every_split(capsys, fixtures_dir, tmp_path):
-    args = base_args(fixtures_dir, tmp_path, **{"--ae-hidden": "4"})  # no --transfer-dim: the default, 64, stays
+    args = base_args(fixtures_dir, tmp_path, **{"--ae-hidden": "4"})  # no --transfer-dim: the rows set the width
     code, _, err = run_cli(capsys, "train-ae", *args)
     assert code == 0, err
     st_path = str(tmp_path / "laptop.st")
@@ -167,6 +175,11 @@ def test_transfer_run_takes_its_width_from_the_one_archive_of_every_split(capsys
     assert code == 0, err
     ckpt = out.strip().splitlines()[-1].split(": ", 1)[1]
     assert json.loads(Path(f"{ckpt}.meta.json").read_text(encoding="utf-8"))["transfer_dim"] == 8
+    code, _, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer", "--st-cache-path", st_path, *args,
+                           "--transfer-dim", "8", "--checkpoint-dir", str(tmp_path / "given"))
+    assert code == 0, err
+    for written in (tmp_path / "given").iterdir():  # giving the rows' own width changes no byte
+        assert written.read_bytes() == (tmp_path / "ckpt" / written.name).read_bytes(), written.name
     code, out, err = run_cli(capsys, "eval", "--checkpoint", ckpt, "--split", "test", "--st-cache-path", st_path, *args)
     assert code == 0, err
     assert json.loads(out.strip().splitlines()[-1])["count"] == 4
@@ -192,23 +205,77 @@ def test_transfer_run_refuses_rows_without_one_width(capsys, fixtures_dir, tmp_p
     assert not (tmp_path / "ckpt").exists()  # nothing trained
 
 
-@pytest.mark.parametrize("source", ["flag", "config line"])
-def test_transfer_run_refuses_a_transfer_dim_and_a_noise_run_takes_it(capsys, fixtures_dir, tmp_path, source):
-    st_path = tmp_path / "laptop.st"
-    save_archive(st_path, {"lt1": np.zeros((5, 6), np.float32)})  # 6 wide
+@pytest.fixture(scope="module")
+def six_wide(fixtures_dir, tmp_path_factory):
+    """A laptop extractor with 6-wide transfer rows (ae_hidden 3) and its archive of both splits."""
+    root = tmp_path_factory.mktemp("six_wide")
+    ae_ckpt, st_path = root / "ckpt" / "ae_laptop.best.ckpt", root / "laptop.st"
+    assert main(["train-ae", *base_args(fixtures_dir, root)]) == 0
+    assert main(["export-st", "--checkpoint", str(ae_ckpt), "--out", str(st_path), *base_args(fixtures_dir, root)]) == 0
+    return ae_ckpt, st_path
+
+
+TRANSFER_T = ["train-alsa", "--input-mode", "transfer", "--st-cache-path", "ROWS"]
+WIDTH_CASES = {  # case: (argv, where transfer_dim = 7 comes from, the sidecar's transfer_dim or None if refused)
+    "flag": (TRANSFER_T, ["--transfer-dim", "7"], None),
+    "config line": (TRANSFER_T, ["--config", "CFG"], None),
+    "cross-domain": (["cross-domain", "--ae-domain", "laptop", "--domain", "restaurant"], ["--transfer-dim", "7"], None),
+    "grid-search": (["grid-search", "--grid", "input_mode=plain,transfer", "--st-cache-path", "ROWS"],
+                    ["--transfer-dim", "7"], None),
+    "the rows' width": (TRANSFER_T, ["--transfer-dim", "6"], 6),
+    "noise unset": (["train-alsa", "--input-mode", "noise"], [], 64),
+    "noise 7": (["train-alsa", "--input-mode", "noise"], ["--transfer-dim", "7"], 7),
+}
+
+
+@pytest.mark.parametrize("case", list(WIDTH_CASES))
+def test_transfer_run_refuses_a_transfer_dim_and_a_noise_run_takes_it(capsys, fixtures_dir, tmp_path, six_wide, case):
+    ae_ckpt, st_path = six_wide
+    command, given, width = WIDTH_CASES[case]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("transfer_dim = 7\n", encoding="utf-8")
-    given = ["--transfer-dim", "7"] if source == "flag" else ["--config", str(cfg)]
-    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer", "--st-cache-path", str(st_path),
-                             *given, *base_args(fixtures_dir, tmp_path))
-    assert (code, out) == (1, "")
-    assert json.loads(err.strip().splitlines()[-1]) == {"error": "ConfigError: a transfer run takes its width from "
-                                                        "st_cache_path; transfer_dim sets only the noise width"}
-    assert not (tmp_path / "ckpt").exists()  # nothing trained
-    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "noise", *given, *base_args(fixtures_dir, tmp_path))
-    assert code == 0, err
-    ckpt = out.strip().splitlines()[-1].split(": ", 1)[1]
-    assert json.loads(Path(f"{ckpt}.meta.json").read_text(encoding="utf-8"))["transfer_dim"] == 7
+    ckpt = tmp_path / "ckpt"
+    extractor = []
+    if command[0] == "cross-domain":  # it reads <checkpoint-dir>/ae_laptop.best.ckpt and makes its rows in memory
+        ckpt.mkdir()
+        extractor = [ae_ckpt.name, f"{ae_ckpt.name}.meta.json"]
+        for name in extractor:
+            (ckpt / name).write_bytes((ae_ckpt.parent / name).read_bytes())
+    argv = [{"ROWS": str(st_path), "CFG": str(cfg)}.get(arg, arg) for arg in command + given]
+    code, out, err = run_cli(capsys, *argv, *base_args(fixtures_dir, tmp_path))
+    source = "st_source" if command[0] == "cross-domain" else st_path
+    refused = f"ConfigError: {source}: transfer rows are 6 wide, but transfer_dim is 7"
+    if command[0] == "grid-search":  # the transfer point fails, the plain point trains
+        assert code == 0, err
+        rows = {row["params"]["input_mode"]: row for row in map(json.loads, out.splitlines())}
+        assert {k: v for k, v in rows["transfer"].items() if k != "rank"} == {"params": {"input_mode": "transfer"},
+                                                                             "error": refused}
+        assert Path(rows["plain"]["best_checkpoint"]).exists()
+        assert not list(ckpt.glob("*transfer*"))
+    elif width is None:
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip().splitlines()[-1]) == {"error": refused}
+        assert sorted(p.name for p in ckpt.glob("*")) == sorted(extractor)  # nothing trained
+        assert ckpt.exists() == bool(extractor)
+    else:
+        assert code == 0, err
+        written = out.strip().splitlines()[-1].split(": ", 1)[1]
+        assert json.loads(Path(f"{written}.meta.json").read_text(encoding="utf-8"))["transfer_dim"] == width
+
+
+def test_cli_raises_config_errors_only_for_grid_syntax():
+    """Every config rule lives in the harness; the CLI checks only the syntax of --grid."""
+    import ast
+
+    import absalab.cli
+
+    tree = ast.parse(Path(absalab.cli.__file__).read_text(encoding="utf-8"))
+    grid_syntax = {id(node) for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef) and function.name == "_cmd_grid_search"
+                   for node in ast.walk(function)}
+    raises = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc is not None and "ConfigError" in ast.unparse(node.exc)]
+    assert raises and all(id(node) in grid_syntax for node in raises), [ast.unparse(node) for node in raises]
 
 
 @pytest.mark.parametrize("task", ["alsa", "multitask"])

@@ -75,6 +75,7 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     with pytest.raises(ConfigError, match="'epochs' must not be empty"):
         ExperimentConfig.from_mapping({"epochs": "none"})
     assert ExperimentConfig.from_mapping({"ae_domain": "restaurant"}).ae_domain == "restaurant"
+    assert ExperimentConfig(transfer_dim=None).transfer_dim is None  # unset: the rows, or 64 for noise
     with pytest.raises(ConfigError):
         ExperimentConfig(task="paint")
     for key in ("lr", "l2_lambda"):
@@ -109,6 +110,13 @@ def test_config_file_errors_name_the_file_and_line(tmp_path):
     config = ExperimentConfig.from_mapping({**parse_kv_file(cfg), "epochs": "2"})
     assert (config.lr, config.epochs, config.domain, config.ae_domain) == (0.01, 2, "restaurant", None)
     assert type(config.domain) is str  # the value, not the line it came from
+    for line, value in (("transfer_dim = 7", 7), ("transfer_dim = none", None)):  # an `int | None` field
+        cfg.write_text(f"lr = 0.01\n{line}\n", encoding="utf-8")
+        assert parse_kv_file(cfg) == {"lr": 0.01, "transfer_dim": value}
+        assert type(parse_kv_file(cfg)["transfer_dim"]) is type(value)
+    cfg.write_text("lr = 0.01\ntransfer_dim = 7.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 2: config key 'transfer_dim': cannot parse '7.5' as int")):
+        parse_kv_file(cfg)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -598,6 +606,9 @@ def test_grid_rejects_a_key_without_values(fixtures_dir, tmp_path):
     ({"epochs": [1, "01"]}, "grid key 'epochs' gives the setting 1 more than once"),
     ({"lr": [0.01], "l2_lambda": ["0", "-0.0"]}, "grid key 'l2_lambda' gives the setting -0.0 more than once"),
     ({"lr": [0.01], "lrr": [0.01]}, "unknown config key 'lrr'"),
+    ({"transfer_dim": ["7", "07"]}, "grid key 'transfer_dim' gives the setting 7 more than once"),
+    ({"transfer_dim": ["none", "null"]}, "grid key 'transfer_dim' gives the setting None more than once"),
+    ({"transfer_dim": ["7.5"]}, "config key 'transfer_dim': cannot parse '7.5' as int"),
 ])
 def test_grid_refuses_a_bad_grid_before_training(fixtures_dir, tmp_path, grid, error):
     with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
@@ -623,7 +634,7 @@ def test_transfer_pipeline_in_memory(fixtures_dir, tmp_path):
     t_config = tiny_config(fixtures_dir, tmp_path, input_mode="transfer", epochs=1)
     result = train(t_config, st_source=cache)
     assert result.meta["input_mode"] == "transfer"
-    assert result.meta["transfer_dim"] == 6  # the rows' width, not the config's 64
+    assert result.meta["transfer_dim"] == 6  # the rows' width; transfer_dim is unset
     assert result.model.lstm.input_dim == 2 * 14  # word and aspect rows, each 8 + 6 wide
     cache["lt1"] = np.zeros((len(cache["lt1"]), 5), np.float32)
     with pytest.raises(ConfigError, match=re.escape("st_source: transfer rows must be tokens x width with one "
