@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from absalab import cli
 from absalab.checkpoint import load_archive, save_archive
 from absalab.cli import build_parser, main
 from absalab.harness import ExperimentConfig
@@ -265,11 +267,7 @@ def test_transfer_run_refuses_a_transfer_dim_and_a_noise_run_takes_it(capsys, fi
 
 def test_cli_raises_config_errors_only_for_grid_syntax():
     """Every config rule lives in the harness; the CLI checks only the syntax of --grid."""
-    import ast
-
-    import absalab.cli
-
-    tree = ast.parse(Path(absalab.cli.__file__).read_text(encoding="utf-8"))
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     grid_syntax = {id(node) for function in ast.walk(tree)
                    if isinstance(function, ast.FunctionDef) and function.name == "_cmd_grid_search"
                    for node in ast.walk(function)}
