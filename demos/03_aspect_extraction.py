@@ -13,7 +13,7 @@ from absalab.harness import corpus_span_f1, export_transfer_cache
 from absalab.optim import AdamConfig, ParamStore, adam_step, forward_backward
 from absalab.synthetic import synthetic_tagging_corpus, synthetic_vocabulary
 
-vocab = synthetic_vocabulary(dim=12, seed=7)
+vocab = synthetic_vocabulary(dim=12)
 corpus = synthetic_tagging_corpus(num_sentences=10, seed=3)
 items = [(vocab.ids(tokens), bio) for tokens, bio in corpus]
 

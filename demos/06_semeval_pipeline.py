@@ -37,7 +37,7 @@ print("tokens:   ", [t.text for t in tokens])
 print("offsets:  ", [(t.char_start, t.char_end) for t in tokens])
 print("BIO gold: ", encode_spans(record.spans, len(tokens)))
 
-vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
+vocab = Vocabulary.random(collect_tokens(parsed), dim=8)
 dataset = build_dataset(parsed, "laptop", vocab)
 sa, ma = split_sa_ma(dataset.samples)
 print("polarity counts (pos, neg, neu):", polarity_counts(dataset.samples))

@@ -79,7 +79,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_export_st(args) -> int:
     datasets, vocab = load_domain(_config_from_args(args), require=())
-    cache = transfer_rows(args.checkpoint, datasets, vocab)
+    cache, _ = transfer_rows(args.checkpoint, datasets, vocab)
     width = transfer_width(cache, args.checkpoint)
     save_archive(args.out, cache)
     print(f"wrote {len(cache)} transfer matrices (width {width}) to {args.out}")
@@ -112,8 +112,8 @@ def _cmd_grid_search(args) -> int:
 
 def _cmd_cross_domain(args) -> int:
     config = _config_from_args(args)
-    report = cross_domain_run(config)
-    _print_report(report, f"extractor {config.ae_domain} -> classifier {config.domain}")
+    report = cross_domain_run(config, args.checkpoint)
+    _print_report(report, f"extractor {report.extras['ae_domain']} -> classifier {config.domain}")
     return 0
 
 
@@ -121,7 +121,7 @@ def _cmd_dump_attention(args) -> int:
     config = _config_from_args(args)
     dataset, vocab, st_source = _load_split(config, args.split)
     model, _, meta = load_model(args.checkpoint, vocab.matrix)
-    mode = input_mode_from_meta(meta, st_source)
+    mode = input_mode_from_meta(meta, st_source, args.checkpoint)
     records = dump_attention(model, dataset.samples, mode, vocab.matrix, path=args.out)
     print(f"wrote {len(records)} attention records to {args.out}")
     return 0
@@ -178,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", action="append", required=True, metavar="KEY=V1,V2,...")
     p.set_defaults(fn=_cmd_grid_search)
 
-    p = sub.add_parser("cross-domain", help="transfer from --ae-domain's extractor to --domain's classifier")
+    p = sub.add_parser("cross-domain", help="transfer from --checkpoint's extractor to --domain's classifier")
     _add_config_flags(p)
+    p.add_argument("--checkpoint", required=True, help="AE checkpoint whose transfer rows widen the classifier's input")
     p.set_defaults(fn=_cmd_cross_domain)
 
     p = sub.add_parser("dump-attention", help="write per-sample attention records")

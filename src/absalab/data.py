@@ -26,6 +26,7 @@ from .checkpoint import atomic_write
 UNK_INIT_RANGE = 0.25
 UNK_SEED = 13
 RANDOM_INIT_RANGE = 0.5  # rows of Vocabulary.random
+RANDOM_ROW_SALT = 7919  # seeds Vocabulary.random's rows, with each token's digest
 _TOKEN = re.compile(r"[{0}]|[^\s{0}]+".format(re.escape(string.punctuation)))
 VECTOR_BATCH = 256  # wanted vector lines parsed per np.loadtxt call
 VECTOR_BLOCK = 1 << 16  # bytes of a vector file read at once; below glibc's 128 KiB mmap threshold
@@ -162,11 +163,16 @@ class Vocabulary:
         return tuple(self.id_of(t) for t in tokens)
 
     @classmethod
-    def random(cls, tokens: Sequence[str], dim: int, seed: int = 0) -> "Vocabulary":
-        """Seeded random vocabulary for synthetic corpora and fixtures."""
-        rng = np.random.default_rng(seed)
+    def random(cls, tokens: Sequence[str], dim: int) -> "Vocabulary":
+        """Random vocabulary for synthetic corpora and fixtures. Each token's
+        row is drawn from a generator seeded by a fixed salt and a SHA-256
+        digest of the token's UTF-8 bytes, and the UNK row from the salt
+        alone, so a token has one row in every vocabulary of one width."""
         uniq = sorted(set(t.lower() for t in tokens))
-        matrix = rng.uniform(-RANDOM_INIT_RANGE, RANDOM_INIT_RANGE, size=(len(uniq) + 1, dim)).astype(np.float32)
+        digests = [hashlib.sha256(t.encode("utf-8", "surrogatepass")).digest() for t in uniq]
+        seeds = [[RANDOM_ROW_SALT, int.from_bytes(digest, "little")] for digest in digests] + [RANDOM_ROW_SALT]
+        matrix = np.array([np.random.default_rng(seed).uniform(-RANDOM_INIT_RANGE, RANDOM_INIT_RANGE, size=dim)
+                           for seed in seeds], dtype=np.float32)
         mapping = {t: i for i, t in enumerate(uniq)}
         return cls(mapping, matrix, unk_id=len(uniq))
 

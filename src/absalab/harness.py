@@ -43,7 +43,6 @@ class ExperimentConfig:
     architecture: str = "atae"
     input_mode: str = "plain"
     domain: str = "laptop"
-    ae_domain: str | None = None  # AE model domain for transfer runs
     lr: float = 0.001
     l2_lambda: float = 0.0
     transfer_dim: int | None = None  # width of the extra rows: noise 64 if unset; transfer must match its rows
@@ -80,8 +79,6 @@ class ExperimentConfig:
                          ("seed", 0)):
             if getattr(self, key) is not None and getattr(self, key) < low:
                 raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
-        if self.input_mode == "transfer" and self.ae_domain is None:
-            self.ae_domain = self.domain  # in-domain transfer by default
 
     @property
     def name(self) -> str:
@@ -185,19 +182,14 @@ def load_corpus(config: ExperimentConfig, require: Sequence[str] = ("train", "te
 
 def load_domain(config: ExperimentConfig,
                 require: Sequence[str] = ("train", "test")) -> tuple[dict[str, Dataset], Vocabulary]:
-    """`load_corpus`, then one vocabulary over every split it parsed.
-
-    Building it over every available split keeps the vocabulary identical
-    between training and later evaluation, which matters when no pretrained
-    embedding file is configured and word rows are seeded by token set.
-    """
+    """`load_corpus`, then one vocabulary over every split it parsed: the
+    vector file's rows, or without one a random row drawn from each token."""
     parsed = load_corpus(config, require)
     tokens = [token for records in parsed.values() for token in collect_tokens(records)]
     if config.embeddings_path:
         vocab = load_embeddings(config.embeddings_path, tokens)
     else:
-        # No pretrained vectors available: seeded random rows (fixtures, demos).
-        vocab = Vocabulary.random(tokens, dim=config.embedding_dim, seed=config.seed + 7919)
+        vocab = Vocabulary.random(tokens, dim=config.embedding_dim)  # fixtures, demos, smoke runs
     datasets = {split: build_dataset(records, config.domain, vocab) for split, records in parsed.items()}
     return datasets, vocab
 
@@ -334,15 +326,18 @@ def dataset_sentence_ids(dataset: Dataset, vocab: Vocabulary) -> list[tuple[str,
     return [(s.sentence_id, vocab.ids(t.text for t in s.tokens)) for s in dataset.sentences]
 
 
-def transfer_rows(checkpoint_path, datasets: dict[str, Dataset], vocab: Vocabulary) -> dict[str, np.ndarray]:
+def transfer_rows(checkpoint_path, datasets: dict[str, Dataset],
+                  vocab: Vocabulary) -> tuple[dict[str, np.ndarray], dict]:
     """Transfer rows of the AE checkpoint at `checkpoint_path` for every
-    sentence of every split in `datasets`, as `load_domain` returned them."""
+    sentence of every split in `datasets`, as `load_domain` returned them,
+    and the checkpoint's sidecar fields."""
     if not Path(checkpoint_path).exists():
         raise FileNotFoundError(f"missing AE checkpoint {checkpoint_path}")
     model, _, meta = load_model(checkpoint_path, vocab.matrix)
     if meta.get("task") != "ae":
         raise ValueError(f"{checkpoint_path}: transfer rows need an AE checkpoint, got task {meta.get('task')!r}")
-    return export_transfer_cache(model, [pair for split in datasets.values() for pair in dataset_sentence_ids(split, vocab)])
+    pairs = [pair for split in datasets.values() for pair in dataset_sentence_ids(split, vocab)]
+    return export_transfer_cache(model, pairs), meta
 
 
 def transfer_width(rows: dict[str, np.ndarray], source) -> int:
@@ -368,12 +363,11 @@ def train(config: ExperimentConfig, st_source: dict[str, np.ndarray] | None = No
 
 
 def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab: Vocabulary,
-                  st_source: dict[str, np.ndarray] | None) -> TrainResult:
-    """`train` on the datasets and vocabulary `load_domain(config)` returned."""
+                  st_source: dict[str, np.ndarray] | None, source="st_source") -> TrainResult:
+    """`train` on what `load_domain(config)` returned; `source` names `st_source` in refusals."""
     train_set = datasets["train"]
     width = config.transfer_dim  # of the rows appended to each word vector
     if config.input_mode == "transfer":
-        source = "st_source"
         if st_source is None:
             if not config.st_cache_path:
                 raise ConfigError("transfer mode requires st_cache_path")
@@ -429,7 +423,7 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
         meta = {"task": "alsa", "architecture": config.architecture, "domain": config.domain,
                 "input_mode": config.input_mode, "hidden": config.alsa_hidden, "embedding_dim": vocab.dim,
                 "transfer_dim": 0 if config.input_mode == "plain" else NOISE_DIM if width is None else width,
-                "seed": config.seed, "noise_seed": config.seed, "ae_domain": config.ae_domain}
+                "seed": config.seed, "noise_seed": config.seed}
 
     store = ParamStore()
     model = build_model_from_meta(store, meta, embeddings)
@@ -490,6 +484,9 @@ def load_model(checkpoint_path, embeddings: np.ndarray) -> tuple[object, ParamSt
         raise ValueError(f"{sidecar}: unknown input_mode {input_mode!r}")
     if input_mode != "plain" and "transfer_dim" not in meta:  # the width of the extra rows
         raise ValueError(f"{sidecar}: missing field 'transfer_dim'")
+    if meta.get("embedding_dim", embeddings.shape[1]) != embeddings.shape[1]:
+        raise ValueError(f"{sidecar}: embedding_dim is {meta['embedding_dim']!r}, "
+                         f"but the word vectors are {embeddings.shape[1]} wide")
     checked = {"transfer_dim": meta.get("transfer_dim", 0)}
     if input_mode == "noise":
         checked["noise_seed"] = meta.get("noise_seed", 0)
@@ -529,12 +526,12 @@ def evaluate_samples(model, samples: Sequence[AlsaSample], mode: InputMode,
     return report
 
 
-def input_mode_from_meta(meta: dict, st_source: dict[str, np.ndarray] | None = None) -> InputMode:
-    """Reconstruct the input mode a checkpoint was trained with."""
+def input_mode_from_meta(meta: dict, st_source: dict[str, np.ndarray] | None = None, checkpoint=None) -> InputMode:
+    """Reconstruct the input mode the checkpoint at `checkpoint` was trained with."""
     variant = meta.get("input_mode", "plain")
     if variant == "transfer":
         if st_source is None:
-            raise ConfigError("transfer checkpoint needs cached transfer rows")
+            raise ConfigError(f"{checkpoint}: a transfer checkpoint needs its transfer rows; set st_cache_path")
         return InputMode.transfer(st_source, meta["transfer_dim"])
     if variant == "noise":
         return InputMode.noise(meta["transfer_dim"], seed=meta.get("noise_seed", 0))
@@ -547,7 +544,7 @@ def evaluate(checkpoint_path, samples: Sequence[AlsaSample], embeddings: np.ndar
     model, _, meta = load_model(checkpoint_path, embeddings)
     if meta.get("task") == "ae":
         raise ValueError("evaluate scores sentiment checkpoints; tagging models are scored by span F1")
-    mode = input_mode_from_meta(meta, st_source)
+    mode = input_mode_from_meta(meta, st_source, checkpoint_path)
     report = evaluate_samples(model, samples, mode, embeddings)
     report.extras["architecture"] = meta.get("architecture")
     return report
@@ -617,33 +614,30 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
 
 
 def _load_key(config: ExperimentConfig) -> tuple:
-    """The fields `load_domain(config)` reads; the seed only seeds random word rows."""
+    """The fields `load_domain(config)` reads."""
     return (config.data_dir, config.domain, config.train_xml, config.test_xml, config.embeddings_path,
-            config.embedding_dim, None if config.embeddings_path else config.seed)
+            config.embedding_dim)
 
 
 # -- cross-domain transfer ------------------------------------------------------------------
 
 
-def ae_checkpoint_path(config: ExperimentConfig, domain: str) -> Path:
-    if not config.checkpoint_dir:
-        raise ConfigError("cross-domain runs need checkpoint_dir")
-    return Path(config.checkpoint_dir) / f"ae_{domain}.best.ckpt"
-
-
-def cross_domain_run(config: ExperimentConfig) -> MetricsReport:
-    """Export transfer rows from the `config.ae_domain` extractor over
+def cross_domain_run(config: ExperimentConfig, checkpoint_path) -> MetricsReport:
+    """Export transfer rows from the extractor at `checkpoint_path` over
     `config.domain` sentences, train the widened `config.architecture`
-    classifier there, and score its test split."""
-    if config.ae_domain is None:
-        raise ConfigError("cross-domain runs need ae_domain")
-    ae_domain, alsa_domain = config.ae_domain, config.domain
+    classifier there, and score its test split. The run and the report
+    name the extractor's domain as its sidecar gives it."""
+    if not config.checkpoint_dir:  # where the classifier's checkpoints go
+        raise ConfigError("cross-domain runs need checkpoint_dir")
+    datasets, vocab = load_domain(config)
+    st_source, ae_meta = transfer_rows(checkpoint_path, datasets, vocab)
+    if "domain" not in ae_meta:
+        raise ValueError(f"{checkpoint_path}.meta.json: missing field 'domain'")
+    ae_domain, alsa_domain = ae_meta["domain"], config.domain
     run_config = replace(config, task="alsa", input_mode="transfer",
                          run_name=f"{config.architecture}-t_{alsa_domain}_from_{ae_domain}")
-    datasets, vocab = load_domain(run_config)
-    st_source = transfer_rows(ae_checkpoint_path(config, ae_domain), datasets, vocab)
     # the splits loaded above are what train would load: same files, same vocabulary
-    result = _train_loaded(run_config, datasets, vocab, st_source)
+    result = _train_loaded(run_config, datasets, vocab, st_source, source=checkpoint_path)
     report = evaluate(result.best_checkpoint, datasets["test"].samples, vocab.matrix, st_source)
     report.extras.update({"ae_domain": ae_domain, "alsa_domain": alsa_domain})
     return report

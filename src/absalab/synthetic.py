@@ -21,8 +21,8 @@ SENTIMENT_MARKERS = {"positive": "great", "negative": "awful", "neutral": "ordin
 _ALL_TOKENS = ASPECT_WORDS + (MULTIWORD_SECOND,) + CONTEXT_WORDS + tuple(SENTIMENT_MARKERS.values())
 
 
-def synthetic_vocabulary(dim: int = 12, seed: int = 7) -> Vocabulary:
-    return Vocabulary.random(_ALL_TOKENS, dim=dim, seed=seed)
+def synthetic_vocabulary(dim: int = 12) -> Vocabulary:
+    return Vocabulary.random(_ALL_TOKENS, dim=dim)
 
 
 def synthetic_tagging_corpus(num_sentences: int = 10, seed: int = 3) -> list[tuple[list[str], list[str]]]:

@@ -77,7 +77,7 @@ def criterion(number: int, label: str, limit_seconds: float):
 
 def ingest(xml_dir: Path, domain: str, split: str):
     parsed = parse_semeval((xml_dir / f"{domain}_{split}.xml").read_text(encoding="utf-8"))
-    vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=8)
     return build_dataset(parsed, domain, vocab)
 
 
@@ -218,7 +218,7 @@ def test_criterion_5_transfer_reduction():
 def test_criterion_6_overfit_suite():
     with criterion(6, "overfit suite", 180.0):
         # tagging: span F1 = 1.0 on a 10-sentence synthetic corpus within 500 steps
-        vocab = synthetic_vocabulary(dim=12, seed=7)
+        vocab = synthetic_vocabulary(dim=12)
         corpus = synthetic_tagging_corpus(10, seed=3)
         items = [(vocab.ids(tokens), bio) for tokens, bio in corpus]
         store = ParamStore()

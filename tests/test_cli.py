@@ -221,7 +221,7 @@ TRANSFER_T = ["train-alsa", "--input-mode", "transfer", "--st-cache-path", "ROWS
 WIDTH_CASES = {  # case: (argv, where transfer_dim = 7 comes from, the sidecar's transfer_dim or None if refused)
     "flag": (TRANSFER_T, ["--transfer-dim", "7"], None),
     "config line": (TRANSFER_T, ["--config", "CFG"], None),
-    "cross-domain": (["cross-domain", "--ae-domain", "laptop", "--domain", "restaurant"], ["--transfer-dim", "7"], None),
+    "cross-domain": (["cross-domain", "--checkpoint", "AE", "--domain", "restaurant"], ["--transfer-dim", "7"], None),
     "grid-search": (["grid-search", "--grid", "input_mode=plain,transfer", "--st-cache-path", "ROWS"],
                     ["--transfer-dim", "7"], None),
     "the rows' width": (TRANSFER_T, ["--transfer-dim", "6"], 6),
@@ -237,15 +237,9 @@ def test_transfer_run_refuses_a_transfer_dim_and_a_noise_run_takes_it(capsys, fi
     cfg = tmp_path / "run.cfg"
     cfg.write_text("transfer_dim = 7\n", encoding="utf-8")
     ckpt = tmp_path / "ckpt"
-    extractor = []
-    if command[0] == "cross-domain":  # it reads <checkpoint-dir>/ae_laptop.best.ckpt and makes its rows in memory
-        ckpt.mkdir()
-        extractor = [ae_ckpt.name, f"{ae_ckpt.name}.meta.json"]
-        for name in extractor:
-            (ckpt / name).write_bytes((ae_ckpt.parent / name).read_bytes())
-    argv = [{"ROWS": str(st_path), "CFG": str(cfg)}.get(arg, arg) for arg in command + given]
+    argv = [{"ROWS": str(st_path), "CFG": str(cfg), "AE": str(ae_ckpt)}.get(arg, arg) for arg in command + given]
     code, out, err = run_cli(capsys, *argv, *base_args(fixtures_dir, tmp_path))
-    source = "st_source" if command[0] == "cross-domain" else st_path
+    source = ae_ckpt if command[0] == "cross-domain" else st_path  # cross-domain makes its rows in memory
     refused = f"ConfigError: {source}: transfer rows are 6 wide, but transfer_dim is 7"
     if command[0] == "grid-search":  # the transfer point fails, the plain point trains
         assert code == 0, err
@@ -257,8 +251,7 @@ def test_transfer_run_refuses_a_transfer_dim_and_a_noise_run_takes_it(capsys, fi
     elif width is None:
         assert (code, out) == (1, "")
         assert json.loads(err.strip().splitlines()[-1]) == {"error": refused}
-        assert sorted(p.name for p in ckpt.glob("*")) == sorted(extractor)  # nothing trained
-        assert ckpt.exists() == bool(extractor)
+        assert not ckpt.exists()  # nothing trained
     else:
         assert code == 0, err
         written = out.strip().splitlines()[-1].split(": ", 1)[1]
@@ -286,7 +279,7 @@ def test_transfer_rows_refuse_a_checkpoint_that_is_not_an_extractor(capsys, fixt
     ae_ckpt.write_bytes(Path(trained).read_bytes())
     Path(f"{ae_ckpt}.meta.json").write_bytes(Path(f"{trained}.meta.json").read_bytes())
     argv = {"export-st": ["--checkpoint", str(ae_ckpt), "--out", str(tmp_path / "rows.st")],
-            "cross-domain": ["--ae-domain", "laptop", "--domain", "restaurant"]}[command]
+            "cross-domain": ["--checkpoint", str(ae_ckpt), "--domain", "restaurant"]}[command]
     code, out, err = run_cli(capsys, command, *argv, *base_args(fixtures_dir, tmp_path))
     assert (code, out) == (1, "")
     assert json.loads(err.strip().splitlines()[-1]) == {
@@ -396,6 +389,63 @@ def test_eval_reads_an_absent_noise_seed_as_zero(capsys, fixtures_dir, tmp_path)
     assert code == 0, err
 
 
+@pytest.mark.parametrize("command", ["eval", "dump-attention", "export-st"])
+def test_a_checkpoint_refuses_word_vectors_of_another_width(capsys, fixtures_dir, tmp_path, command):
+    trainer = "train-ae" if command == "export-st" else "train-alsa"
+    code, out, err = run_cli(capsys, trainer, *base_args(fixtures_dir, tmp_path))  # on 8-wide random rows
+    assert code == 0, err
+    ckpt = out.strip().splitlines()[-1].split(": ", 1)[1]
+    written = tmp_path / "out"
+    argv = [command, "--checkpoint", ckpt, *([] if command == "eval" else ["--out", str(written)])]
+    vectors = {"--embeddings-path": str(fixtures_dir / "mini_vectors.txt")}  # 5 wide
+    code, out, err = run_cli(capsys, *argv, *base_args(fixtures_dir, tmp_path, **vectors))
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"ValueError: {ckpt}.meta.json: embedding_dim is 8, but the word vectors are 5 wide"}
+    assert not written.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "dump-attention"])
+def test_a_transfer_checkpoint_without_rows_names_itself_and_st_cache_path(capsys, fixtures_dir, tmp_path, six_wide,
+                                                                          command):
+    _, st_path = six_wide
+    code, out, err = run_cli(capsys, "train-alsa", "--input-mode", "transfer", "--st-cache-path", str(st_path),
+                             *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    ckpt = out.strip().splitlines()[-1].split(": ", 1)[1]
+    argv = [command, "--checkpoint", ckpt, *([] if command == "eval" else ["--out", str(tmp_path / "attn.jsonl")]),
+            *base_args(fixtures_dir, tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": f"ConfigError: {ckpt}: a transfer checkpoint needs its transfer rows; set st_cache_path"}
+    code, out, err = run_cli(capsys, *argv, "--st-cache-path", str(st_path))
+    assert code == 0, err
+
+
+def test_export_st_writes_one_archive_at_every_seed(capsys, fixtures_dir, tmp_path):
+    # without a vector file each word's row comes from the word, so the extractor sees the rows it trained on
+    code, _, err = run_cli(capsys, "train-ae", *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    archives = []
+    for seed in ("0", "3"):
+        st_path = tmp_path / f"seed{seed}.st"
+        code, _, err = run_cli(capsys, "export-st", "--checkpoint", str(tmp_path / "ckpt" / "ae_laptop.best.ckpt"),
+                               "--out", str(st_path), *base_args(fixtures_dir, tmp_path, **{"--seed": seed}))
+        assert code == 0, err
+        archives.append(st_path.read_bytes())
+    assert archives[0] == archives[1]
+
+
+def test_no_subcommand_takes_an_extractor_domain_flag():
+    subcommands, = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(subcommands) == 9
+    for name, parser in subcommands.items():  # cross-domain reads the domain from its --checkpoint's sidecar
+        assert "--ae-domain" not in parser._option_string_actions, name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--ae-domain", "laptop"])
+
+
 def test_train_multitask_via_task_flag(capsys, fixtures_dir, tmp_path):
     code, out, err = run_cli(capsys, "train-alsa", "--task", "multitask",
                              *base_args(fixtures_dir, tmp_path))
@@ -489,16 +539,16 @@ def test_grid_search_command_checks_every_value_before_training(capsys, fixtures
 
 
 def test_cross_domain_command(capsys, fixtures_dir, tmp_path):
-    for domain in ("laptop", "restaurant"):
-        code, _, err = run_cli(capsys, "train-ae", "--domain", domain,
-                               *base_args(fixtures_dir, tmp_path))
-        assert code == 0, err
-    code, out, err = run_cli(capsys, "cross-domain", "--ae-domain", "laptop", "--domain", "restaurant",
-                             *base_args(fixtures_dir, tmp_path))
+    code, _, err = run_cli(capsys, "train-ae", "--domain", "laptop", *base_args(fixtures_dir, tmp_path))
     assert code == 0, err
+    code, out, err = run_cli(capsys, "cross-domain", "--checkpoint", str(tmp_path / "ckpt" / "ae_laptop.best.ckpt"),
+                             "--domain", "restaurant", *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    assert "extractor laptop -> classifier restaurant" in out
     record = json.loads(out.strip().splitlines()[-1])
     assert record["ae_domain"] == "laptop"
     assert record["alsa_domain"] == "restaurant"
+    assert (tmp_path / "ckpt" / "atae-t_restaurant_from_laptop.best.ckpt").exists()
 
 
 def test_failures_emit_machine_parseable_error_line(capsys, fixtures_dir, tmp_path):
@@ -606,7 +656,7 @@ def test_training_is_bit_identical_with_one_or_two_blas_threads(fixtures_dir, tm
                "PYTHONPATH": str(root / "src")}
         for command in (["train-alsa", "--architecture", "atae"], ["train-alsa", "--architecture", "tclstm"],
                         ["train-alsa", "--task", "multitask"], ["train-ae"]):
-            # no vector file: the fixture vocabulary gets seeded random 300-d rows
+            # no vector file: the fixture vocabulary gets random 300-d rows drawn from each token
             proc = subprocess.run([sys.executable, "-m", "absalab", *command, "--data-dir", str(fixtures_dir),
                                    "--domain", "laptop", "--epochs", "2", "--checkpoint-dir", str(tmp_path / threads)],
                                   env=env, capture_output=True, text=True, timeout=300)

@@ -242,7 +242,7 @@ def _built(text, *aspects):
                     for term, polarity, a, b in aspects)
     parsed = parse_semeval(f'<sentences><sentence id="s1"><text>{text}</text>'
                            f"<aspectTerms>{terms}</aspectTerms></sentence></sentences>")
-    return parsed[0], build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4, seed=0))
+    return parsed[0], build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4))
 
 
 def test_bio_gold_basic():
@@ -297,7 +297,7 @@ def test_bio_round_trip_over_all_fixture_sentences(laptop_train_xml, restaurant_
     # the BIO gold decodes to exactly the per-aspect token spans
     for xml in (laptop_train_xml, restaurant_train_xml, laptop_test_xml, restaurant_test_xml):
         parsed = parse_semeval(xml)
-        dataset = build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4, seed=0))
+        dataset = build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4))
         for record, sentence in zip(parsed, dataset.sentences, strict=True):
             expected = sorted(aspect_token_span(record.tokens, a) for a in record.aspects)
             assert sorted(record.spans) == expected
@@ -715,10 +715,19 @@ def test_load_embeddings_never_holds_the_whole_file(tmp_path):
 
 
 def test_vocabulary_ids_are_dense():
-    vocab = Vocabulary.random(["b", "a", "c"], dim=4, seed=1)
+    vocab = Vocabulary.random(["b", "a", "c"], dim=4)
     ids = sorted(set(vocab.token_to_id.values()) | {vocab.unk_id})
     assert ids == list(range(len(vocab)))
     assert vocab.matrix.shape == (4, 4)
+
+
+def test_random_rows_are_drawn_from_the_token_alone():
+    few, more = Vocabulary.random(["b", "a"], dim=4), Vocabulary.random(["c", "A", "b", "\u00e9t\u00e9"], dim=4)
+    for token in ("a", "b"):
+        npt.assert_array_equal(few.matrix[few.id_of(token)], more.matrix[more.id_of(token)])
+    npt.assert_array_equal(few.matrix[few.unk_id], more.matrix[more.unk_id])
+    assert more.matrix.dtype == np.float32 and len({row.tobytes() for row in more.matrix}) == len(more) == 5
+    assert np.abs(more.matrix).max() <= 0.5
 
 
 # -- fixture corpus counts -------------------------------------------------------------
@@ -726,7 +735,7 @@ def test_vocabulary_ids_are_dense():
 
 def laptop_train_dataset(xml):
     parsed = parse_semeval(xml)
-    vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=8)
     return build_dataset(parsed, "laptop", vocab)
 
 
@@ -762,7 +771,7 @@ def test_split_sa_ma_small_example():
 
 def test_sample_span_tokens_contain_aspect_term(laptop_train_xml):
     parsed = parse_semeval(laptop_train_xml)
-    vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=8)
     dataset = build_dataset(parsed, "laptop", vocab)
     by_id = {p.sentence_id: p for p in parsed}
     for sample in dataset.samples:
@@ -787,7 +796,7 @@ def test_parse_tokenize_align_deterministic(laptop_train_xml):
 
 def test_dataset_cache_round_trip(tmp_path, laptop_train_xml):
     parsed = parse_semeval(laptop_train_xml)
-    vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=8)
     dataset = build_dataset(parsed, "laptop", vocab)
     path = tmp_path / "cache.jsonl"
     write_dataset_cache(path, dataset)
@@ -800,7 +809,7 @@ def test_dataset_cache_round_trip(tmp_path, laptop_train_xml):
 
 def _cache_lines(tmp_path, laptop_train_xml):
     parsed = parse_semeval(laptop_train_xml)
-    vocab = Vocabulary.random(collect_tokens(parsed), dim=8, seed=0)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=8)
     path = tmp_path / "cache.jsonl"
     write_dataset_cache(path, build_dataset(parsed, "laptop", vocab))
     return path, vocab, path.read_text(encoding="utf-8").splitlines()
@@ -819,7 +828,7 @@ def test_dataset_cache_keeps_skipped_sentence_count(tmp_path):
       <aspectTerm term="life" polarity="negative" from="14" to="18"/>
       </aspectTerms></sentence><sentence id="o2"><text>fine screen</text></sentence></sentences>"""
     parsed = parse_semeval(xml)
-    vocab = Vocabulary.random(collect_tokens(parsed), dim=4, seed=0)
+    vocab = Vocabulary.random(collect_tokens(parsed), dim=4)
     dataset = build_dataset(parsed, "laptop", vocab)
     assert [s.bio is None for s in dataset.sentences] == [True, False]
     assert len(dataset.samples) == 2  # overlapping aspects still yield samples
@@ -904,7 +913,7 @@ def test_dataset_cache_of_no_sentences_is_its_trailer(tmp_path):
     path = tmp_path / "cache.jsonl"
     write_dataset_cache(path, Dataset(domain="laptop"))
     assert path.read_text(encoding="utf-8") == _cache_text()
-    loaded = read_dataset_cache(path, Vocabulary.random(["the"], dim=4, seed=0))
+    loaded = read_dataset_cache(path, Vocabulary.random(["the"], dim=4))
     assert (loaded.sentences, loaded.samples) == ([], [])
 
 
@@ -951,7 +960,7 @@ def test_dataset_cache_bad_bio_names_file_and_line(tmp_path, bio):
     ok = {"sentence_id": "s1", "domain": "laptop", "text": "a b c", "bio": None, "samples": [],
           "tokens": [["a", 0, 1], ["b", 2, 3], ["c", 4, 5]]}
     path.write_text(_cache_text(ok, {**ok, "sentence_id": "s2", "bio": bio}), encoding="utf-8")
-    vocab = Vocabulary.random(["a", "b", "c"], dim=4, seed=0)
+    vocab = Vocabulary.random(["a", "b", "c"], dim=4)
     with pytest.raises(IngestError, match=r"cache\.jsonl: line 2: malformed record: bio must be null or one B/I/O"):
         read_dataset_cache(path, vocab)
     path.write_text(_cache_text({**ok, "bio": ["B", "I", "O"]}), encoding="utf-8")
@@ -979,7 +988,7 @@ MISTYPED_RECORDS = {
 def test_dataset_cache_reads_its_example_record(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(_cache_text(CACHE_RECORD), encoding="utf-8")
-    loaded = read_dataset_cache(path, Vocabulary.random(["the", "battery"], dim=4, seed=0))
+    loaded = read_dataset_cache(path, Vocabulary.random(["the", "battery"], dim=4))
     assert loaded.sentences[0].tokens == (Token("the", 0, 3), Token("battery", 4, 11))
     assert [(s.span, s.label) for s in loaded.samples] == [(AspectSpan(1, 1), 1)]
 
@@ -989,7 +998,7 @@ def test_dataset_cache_rejects_a_mistyped_record(tmp_path, fields, problem):
     path = tmp_path / "cache.jsonl"
     path.write_text(json.dumps(CACHE_RECORD) + "\n" + json.dumps({**CACHE_RECORD, "sentence_id": "s2", **fields})
                     + "\n", encoding="utf-8")
-    vocab = Vocabulary.random(["the", "battery"], dim=4, seed=0)
+    vocab = Vocabulary.random(["the", "battery"], dim=4)
     with pytest.raises(IngestError, match=re.escape(f"{path}: line 2: malformed record: {problem}")):
         read_dataset_cache(path, vocab)
 

@@ -14,7 +14,6 @@ from absalab.data import IngestError, Vocabulary, build_dataset, collect_tokens,
 from absalab.harness import (
     ConfigError,
     ExperimentConfig,
-    ae_checkpoint_path,
     corpus_span_f1,
     cross_domain_run,
     dataset_sentence_ids,
@@ -57,14 +56,14 @@ def test_config_file_parsing_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
         "task = alsa\narchitecture = ian  # inline comment\nlr = 0.002\n"
-        "# full-line comment\nepochs = 3\nae_domain = none\n",
+        "# full-line comment\nepochs = 3\nrun_name = none\n",
         encoding="utf-8",
     )
     config = ExperimentConfig.from_mapping({**parse_kv_file(cfg_file), "lr": "0.005"})
     assert config.architecture == "ian"
     assert config.lr == 0.005
     assert config.epochs == 3
-    assert config.ae_domain is None
+    assert config.run_name is None
 
 
 def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
@@ -74,7 +73,7 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
         ExperimentConfig.from_mapping({"epochs": "many"})
     with pytest.raises(ConfigError, match="'epochs' must not be empty"):
         ExperimentConfig.from_mapping({"epochs": "none"})
-    assert ExperimentConfig.from_mapping({"ae_domain": "restaurant"}).ae_domain == "restaurant"
+    assert ExperimentConfig.from_mapping({"run_name": "restaurant"}).run_name == "restaurant"
     assert ExperimentConfig(transfer_dim=None).transfer_dim is None  # unset: the rows, or 64 for noise
     with pytest.raises(ConfigError):
         ExperimentConfig(task="paint")
@@ -86,6 +85,14 @@ def test_config_rejects_unknown_keys_and_bad_values(tmp_path):
     bad.write_text("just words\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="key = value"):
         parse_kv_file(bad)
+
+
+def test_the_extractor_domain_is_not_a_config_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr = 0.01\nae_domain = laptop\n", encoding="utf-8")  # cross-domain reads it from the extractor
+    with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 2: unknown config key 'ae_domain'")):
+        parse_kv_file(cfg)
+    assert len(dataclasses.fields(ExperimentConfig)) == 20
 
 
 def test_config_file_rejects_a_repeated_key(tmp_path):
@@ -100,15 +107,15 @@ def test_config_file_errors_name_the_file_and_line(tmp_path):
     cfg.write_text("lr = 0.01\nepochz = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 2: unknown config key 'epochz'")):
         ExperimentConfig.from_mapping(parse_kv_file(cfg))
-    cfg.write_text("lr = 0.01\n# runs\n\nepochs = many\ndomain = restaurant\nae_domain =\n", encoding="utf-8")
+    cfg.write_text("lr = 0.01\n# runs\n\nepochs = many\ndomain = restaurant\nrun_name =\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(f"{cfg}: line 4: config key 'epochs': cannot parse 'many' as int")):
         ExperimentConfig.from_mapping(parse_kv_file(cfg))
-    cfg.write_text("lr = 0.01\n# runs\n\nepochs = 4\ndomain = restaurant\nae_domain =\n", encoding="utf-8")
+    cfg.write_text("lr = 0.01\n# runs\n\nepochs = 4\ndomain = restaurant\nrun_name =\n", encoding="utf-8")
     # a value set outside the file (as a CLI flag does) is not the file's
     with pytest.raises(ConfigError, match=r"^config key 'epochs': cannot parse 'lots' as int$"):
         ExperimentConfig.from_mapping({**parse_kv_file(cfg), "epochs": "lots"})
     config = ExperimentConfig.from_mapping({**parse_kv_file(cfg), "epochs": "2"})
-    assert (config.lr, config.epochs, config.domain, config.ae_domain) == (0.01, 2, "restaurant", None)
+    assert (config.lr, config.epochs, config.domain, config.run_name) == (0.01, 2, "restaurant", None)
     assert type(config.domain) is str  # the value, not the line it came from
     for line, value in (("transfer_dim = 7", 7), ("transfer_dim = none", None)):  # an `int | None` field
         cfg.write_text(f"lr = 0.01\n{line}\n", encoding="utf-8")
@@ -156,11 +163,6 @@ def test_config_names_encode_variant():
     assert ExperimentConfig(task="ae", domain="laptop").name == "ae_laptop"
     assert ExperimentConfig(architecture="ian", input_mode="noise", domain="restaurant").name == "ian-r_restaurant"
     assert ExperimentConfig(architecture="tclstm", input_mode="transfer").name == "tclstm-t_laptop"
-
-
-def test_transfer_defaults_to_in_domain_ae():
-    config = ExperimentConfig(input_mode="transfer", domain="restaurant")
-    assert config.ae_domain == "restaurant"
 
 
 def test_stratified_split_is_seeded_and_stratified():
@@ -285,6 +287,17 @@ def test_train_and_eval_splits_share_one_vocabulary(fixtures_dir, tmp_path):
     seen = {t.text for s in train_sets["train"].sentences for t in s.tokens}
     test_only = {t.text for s in train_sets["test"].sentences for t in s.tokens} - seen
     assert test_only and all(train_vocab.id_of(t) != train_vocab.unk_id for t in test_only)
+
+
+def test_a_token_of_both_fixture_domains_has_one_row_in_both_vocabularies(fixtures_dir, tmp_path):
+    # without a vector file each row is drawn from its token: not from the domain's token set, nor the seed
+    (_, laptop), (_, restaurant) = (load_domain(tiny_config(fixtures_dir, tmp_path, domain=domain, seed=seed))
+                                    for domain, seed in (("laptop", 0), ("restaurant", 3)))
+    shared = sorted(set(laptop.token_to_id) & set(restaurant.token_to_id))
+    assert len(shared) >= 5 and len(laptop) != len(restaurant)
+    for token in shared:
+        npt.assert_array_equal(laptop.matrix[laptop.id_of(token)], restaurant.matrix[restaurant.id_of(token)])
+    npt.assert_array_equal(laptop.matrix[laptop.unk_id], restaurant.matrix[restaurant.unk_id])
 
 
 def test_corpus_span_f1_examples():
@@ -427,6 +440,11 @@ def test_alsa_checkpoint_takes_its_input_width_from_the_vocabulary(fixtures_dir,
     assert "d_in" not in result.meta
     path = result.best_checkpoint
     load_model(path, np.zeros((2, 8), dtype=np.float32))
+    with pytest.raises(ValueError, match=re.escape(f"{path}.meta.json: embedding_dim is 8, but the word vectors "
+                                                   "are 16 wide")):
+        load_model(path, np.zeros((2, 16), dtype=np.float32))
+    sidecar = Path(f"{path}.meta.json")  # without embedding_dim, the parameter shapes are checked
+    sidecar.write_text(json.dumps({k: v for k, v in result.meta.items() if k != "embedding_dim"}), encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(f"{path}: shape mismatch for 'alsa/lstm_aspect/w'")):
         load_model(path, np.zeros((2, 16), dtype=np.float32))
 
@@ -462,7 +480,7 @@ def test_checkpoint_parameter_names_are_pinned(model, fixtures_dir, tmp_path):
 
 def test_loaded_model_reproduces_training_predictions(fixtures_dir, tmp_path):
     # the vocabulary must be rebuilt over the same splits training saw, or the
-    # seeded random word rows (no-embedding-file mode) would not line up
+    # ids of the random word rows (no-embedding-file mode) would not line up
     config = tiny_config(fixtures_dir, tmp_path)
     result = train(config)
     datasets, vocab = load_domain(config)
@@ -547,7 +565,7 @@ def _counting_load_domain(monkeypatch) -> list:
 
 @pytest.mark.parametrize("vectors, grid, loads", [
     (False, {"lr": [0.01, 0.02], "l2_lambda": [0.0, 0.001]}, 1),
-    (False, {"seed": [3, 5], "lr": [0.01, 0.02]}, 2),  # random word rows are seeded
+    (False, {"seed": [3, 5], "lr": [0.01, 0.02]}, 1),  # random word rows are drawn from the token alone
     (True, {"seed": [3, 5], "lr": [0.01, 0.02]}, 1),
 ])
 def test_grid_loads_once_per_setting_of_the_data_fields(fixtures_dir, tmp_path, monkeypatch, vectors, grid, loads):
@@ -662,9 +680,9 @@ def test_cross_domain_run_all_twelve_cells(fixtures_dir, tmp_path):
     for architecture in ("tclstm", "atae", "ian"):
         for ae_domain in ("laptop", "restaurant"):
             for alsa_domain in ("laptop", "restaurant"):
-                config = tiny_config(fixtures_dir, tmp_path, epochs=1, architecture=architecture,
-                                     ae_domain=ae_domain, domain=alsa_domain)
-                report = reports[(architecture, ae_domain, alsa_domain)] = cross_domain_run(config)
+                config = tiny_config(fixtures_dir, tmp_path, epochs=1, architecture=architecture, domain=alsa_domain)
+                extractor = tmp_path / "ckpt" / f"ae_{ae_domain}.best.ckpt"
+                report = reports[(architecture, ae_domain, alsa_domain)] = cross_domain_run(config, extractor)
                 assert report.extras["ae_domain"] == ae_domain
                 assert report.extras["alsa_domain"] == alsa_domain
                 assert report.extras["architecture"] == architecture
@@ -682,18 +700,41 @@ def test_cross_domain_run_loads_its_domain_once(fixtures_dir, tmp_path, monkeypa
     read_semeval, load_embeddings = harness.read_semeval, harness.load_embeddings
     monkeypatch.setattr(harness, "read_semeval", lambda path: parsed.append(path) or read_semeval(path))
     monkeypatch.setattr(harness, "load_embeddings", lambda *a, **k: scans.append(a[0]) or load_embeddings(*a, **k))
-    cross_domain_run(tiny_config(fixtures_dir, tmp_path, epochs=1, ae_domain="laptop", domain="restaurant", **vectors))
+    cross_domain_run(tiny_config(fixtures_dir, tmp_path, epochs=1, domain="restaurant", **vectors),
+                     tmp_path / "ckpt" / "ae_laptop.best.ckpt")
     assert sorted(p.name for p in parsed) == ["restaurant_test.xml", "restaurant_train.xml"]
     assert len(scans) == 1
 
 
 def test_cross_domain_missing_checkpoint_errors(fixtures_dir, tmp_path):
-    config = tiny_config(fixtures_dir, tmp_path / "empty", ae_domain="laptop", domain="restaurant")
-    with pytest.raises(FileNotFoundError, match="ae_laptop"):
-        cross_domain_run(config)
-    assert ae_checkpoint_path(config, "laptop").name == "ae_laptop.best.ckpt"
-    with pytest.raises(ConfigError, match="ae_domain"):
-        cross_domain_run(tiny_config(fixtures_dir, tmp_path / "empty"))
+    config = tiny_config(fixtures_dir, tmp_path / "empty", domain="restaurant")
+    missing = tmp_path / "ae_laptop.best.ckpt"
+    with pytest.raises(FileNotFoundError, match=f"^missing AE checkpoint {re.escape(str(missing))}$"):
+        cross_domain_run(config, missing)
+    with pytest.raises(ConfigError, match="^cross-domain runs need checkpoint_dir$"):  # the classifier's go there
+        cross_domain_run(dataclasses.replace(config, checkpoint_dir=None), missing)
+    assert not (tmp_path / "empty").exists()
+
+
+def test_cross_domain_run_takes_the_extractor_domain_from_its_sidecar(fixtures_dir, tmp_path):
+    train(tiny_config(fixtures_dir, tmp_path / "ae", task="ae", domain="laptop", epochs=1))
+    extractor = tmp_path / "extractor.ckpt"  # any name: the sidecar says which domain it learned
+    extractor.write_bytes((tmp_path / "ae" / "ckpt" / "ae_laptop.best.ckpt").read_bytes())
+    meta = json.loads((tmp_path / "ae" / "ckpt" / "ae_laptop.best.ckpt.meta.json").read_text(encoding="utf-8"))
+    sidecar = Path(f"{extractor}.meta.json")
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    config = tiny_config(fixtures_dir, tmp_path, epochs=1, domain="restaurant")
+    report = cross_domain_run(config, extractor)
+    assert (report.extras["ae_domain"], report.extras["alsa_domain"]) == ("laptop", "restaurant")
+    written = sorted(p.name for p in (tmp_path / "ckpt").iterdir())
+    assert written == [f"atae-t_restaurant_from_laptop.{kind}" for kind in
+                       ("best.ckpt", "best.ckpt.meta.json", "final.ckpt", "final.ckpt.meta.json", "log.jsonl")]
+    assert "ae_domain" not in json.loads((tmp_path / "ckpt" / written[1]).read_text(encoding="utf-8"))
+    del meta["domain"]
+    sidecar.write_text(json.dumps(meta), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(sidecar))}: missing field 'domain'$"):
+        cross_domain_run(dataclasses.replace(config, checkpoint_dir=str(tmp_path / "refused")), extractor)
+    assert not (tmp_path / "refused").exists()  # nothing trained
 
 
 # -- attention dumps -----------------------------------------------------------------------------
@@ -746,7 +787,7 @@ def test_dump_attention_rejects_tclstm():
 def test_a_write_that_fails_keeps_the_previous_file(tmp_path, monkeypatch, laptop_train_xml, target):
     if target == "dataset-cache":
         parsed = parse_semeval(laptop_train_xml)
-        dataset = build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4, seed=0))
+        dataset = build_dataset(parsed, "laptop", Vocabulary.random(collect_tokens(parsed), dim=4))
 
         def write(path):
             write_dataset_cache(path, dataset)
