@@ -61,7 +61,7 @@ def save_archive(path, entries: Mapping[str, np.ndarray]) -> None:
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-            fh.write(arr.tobytes(order="C"))
+            fh.write(arr)  # the C-order buffer itself: no bytes copy
 
 
 def load_archive(path) -> dict[str, np.ndarray]:

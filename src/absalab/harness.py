@@ -230,8 +230,7 @@ class TrainResult:
     store: ParamStore
     model: object
     log: list[dict]
-    best_state: dict[str, np.ndarray]
-    final_state: dict[str, np.ndarray]
+    best_state: dict[str, np.ndarray]  # the store's own arrays unless an earlier epoch was best
     best_dev: float | None
     dev_key: str  # the name the log and grid-search rows give the dev score
     meta: dict
@@ -247,8 +246,9 @@ def fit(store: ParamStore, items: Sequence, loss_fn: Callable, adam: AdamConfig,
 
     Every epoch visits `items` in a fresh seeded permutation, one
     `loss_fn(item)` step each. With `dev_score`, each epoch record gains
-    `dev_key` and the state is copied whenever the score strictly improves;
-    otherwise best_state is the final state.
+    `dev_key`, and a strict improvement before the last epoch copies the
+    state. When the last epoch is the best, or there is no `dev_score`,
+    best_state holds the store's own arrays, not a copy.
     """
     rng = np.random.default_rng(seed)
     log: list[dict] = []
@@ -266,11 +266,11 @@ def fit(store: ParamStore, items: Sequence, loss_fn: Callable, adam: AdamConfig,
             record[dev_key] = dev
             if best_dev is None or dev > best_dev:
                 best_dev = dev
-                best_state = store.state_dict()
+                best_state = store.state_dict() if epoch < epochs else None  # None: the store's arrays
                 record["best"] = True
         log.append(record)
     if best_state is None:
-        best_state = store.state_dict()
+        best_state = {name: store.value(name) for name in store.names()}
     return log, best_state, best_dev
 
 
@@ -430,14 +430,14 @@ def _train_loaded(config: ExperimentConfig, datasets: dict[str, Dataset], vocab:
     mode = input_mode_from_meta(meta, st_source)
     log, best_state, best_dev = fit(store, train_items, loss_fn, adam, config.epochs, config.seed,
                                     dev_key, dev_score if dev_items else None)
-    result = TrainResult(store, model, log, best_state, store.state_dict(), best_dev, dev_key, meta)
+    result = TrainResult(store, model, log, best_state, best_dev, dev_key, meta)
     if config.checkpoint_dir:
         outdir = Path(config.checkpoint_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         result.best_checkpoint = outdir / f"{config.name}.best.ckpt"
         result.final_checkpoint = outdir / f"{config.name}.final.ckpt"
         save_checkpoint(result.best_checkpoint, result.best_state, meta)
-        save_checkpoint(result.final_checkpoint, result.final_state, meta)
+        save_checkpoint(result.final_checkpoint, {name: store.value(name) for name in store.names()}, meta)
         result.log_path = outdir / f"{config.name}.log.jsonl"
         with atomic_write(result.log_path) as fh:
             for record in log:
@@ -629,6 +629,12 @@ def cross_domain_run(config: ExperimentConfig, checkpoint_path) -> MetricsReport
     name the extractor's domain as its sidecar gives it."""
     if not config.checkpoint_dir:  # where the classifier's checkpoints go
         raise ConfigError("cross-domain runs need checkpoint_dir")
+    # plain is the default, so only another input mode shows that one was set
+    for key, refused in (("task", config.task != "alsa"), ("input_mode", config.input_mode == "noise"),
+                         ("run_name", bool(config.run_name)), ("st_cache_path", bool(config.st_cache_path))):
+        if refused:
+            raise ConfigError(f"{key} = {getattr(config, key)!r}: cross-domain runs set their task, input mode "
+                              "and name, and make their rows from the checkpoint")
     datasets, vocab = load_domain(config)
     st_source, ae_meta = transfer_rows(checkpoint_path, datasets, vocab)
     if "domain" not in ae_meta:

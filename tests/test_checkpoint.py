@@ -1,4 +1,5 @@
 import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -32,6 +33,19 @@ def test_float64_values_are_stored_as_float32(tmp_path):
     loaded = load_archive(path)
     assert loaded["w"].dtype == np.float32
     npt.assert_allclose(loaded["w"], np.float32(1 / 3))
+    # Any float input is written as its C-order little-endian float32 values;
+    # a rank-0 value as one value of rank 1.
+    grid = np.arange(12, dtype=np.float64).reshape(3, 4) / 7
+    entries = {"f8": grid, "big-endian": grid.astype(">f4"), "strided": grid.astype(np.float32)[:, ::2],
+               "transposed": grid.astype(np.float32).T, "rank-0": np.float64(1 / 3), "empty": np.zeros((2, 0, 3))}
+    save_archive(path, entries)
+    want = MAGIC + struct.pack("<BI", 1, len(entries))
+    for name, value in entries.items():
+        values = np.asarray(value).astype("<f4")
+        shape = values.shape or (1,)
+        want += struct.pack(f"<H{len(name)}sB{len(shape)}I", len(name), name.encode(), len(shape), *shape)
+        want += values.tobytes(order="C")
+    assert path.read_bytes() == want
 
 
 def test_archive_layout_starts_with_magic_and_version(tmp_path):

@@ -551,6 +551,27 @@ def test_cross_domain_command(capsys, fixtures_dir, tmp_path):
     assert (tmp_path / "ckpt" / "atae-t_restaurant_from_laptop.best.ckpt").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--task", "ae"), ("--task", "multitask"), ("--input-mode", "noise"),
+                                         ("--run-name", "mine"), ("--st-cache-path", "nowhere.st")])
+def test_cross_domain_refuses_the_fields_it_sets_itself(capsys, fixtures_dir, tmp_path, six_wide, flag, value):
+    ae_ckpt, _ = six_wide
+    code, out, err = run_cli(capsys, "cross-domain", "--checkpoint", str(ae_ckpt), "--domain", "restaurant",
+                             flag, value, *base_args(fixtures_dir, tmp_path))
+    assert (code, out) == (1, "")
+    key = flag[2:].replace("-", "_")
+    assert json.loads(err.strip().splitlines()[-1])["error"].startswith(f"ConfigError: {key} = {value!r}: ")
+    assert not (tmp_path / "ckpt").exists()  # nothing trained
+
+
+@pytest.mark.parametrize("mode", ["plain", "transfer"])
+def test_cross_domain_takes_an_input_mode_of_plain_or_transfer(capsys, fixtures_dir, tmp_path, six_wide, mode):
+    ae_ckpt, _ = six_wide
+    code, _, err = run_cli(capsys, "cross-domain", "--checkpoint", str(ae_ckpt), "--domain", "restaurant",
+                           "--input-mode", mode, *base_args(fixtures_dir, tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "ckpt" / "atae-t_restaurant_from_laptop.best.ckpt").exists()
+
+
 def test_failures_emit_machine_parseable_error_line(capsys, fixtures_dir, tmp_path):
     code, out, err = run_cli(capsys, "majority", "--data-dir", str(tmp_path / "nowhere"))
     assert code == 1

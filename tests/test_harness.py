@@ -9,7 +9,7 @@ import pytest
 
 from absalab.ae import AeModel
 from absalab.alsa import InputMode
-from absalab.checkpoint import load_archive, save_checkpoint
+from absalab.checkpoint import load_archive, save_archive, save_checkpoint
 from absalab.data import IngestError, Vocabulary, build_dataset, collect_tokens, parse_semeval, write_dataset_cache
 from absalab.harness import (
     ConfigError,
@@ -213,8 +213,43 @@ def test_train_lr_zero_keeps_parameters(fixtures_dir, tmp_path):
         init_store = ParamStore()
         harness.build_model_from_meta(init_store, result.meta, load_domain(config)[1].matrix)
         for name, value in init_store.state_dict().items():  # tobytes: assert_array_equal takes -0.0 for 0.0
-            assert result.final_state[name].tobytes() == value.tobytes(), (overrides, name)
+            assert result.store.value(name).tobytes() == value.tobytes(), (overrides, name)
             assert result.best_state[name].tobytes() == value.tobytes(), (overrides, name)
+
+
+def quadratic_run(epochs, dev_scores):
+    """`fit` on one 3-vector pulled toward zero; `dev_scores` gives each epoch's dev score, or is None."""
+    store = ParamStore()
+    w = store.param("w", np.arange(1, 4, dtype=np.float32))
+    scores = iter(dev_scores or ())
+    log, best_state, _ = fit(store, [0, 1], lambda _: (w * w).sum(), AdamConfig(lr=0.1), epochs, seed=0,
+                             dev_key="dev", dev_score=(lambda: next(scores)) if dev_scores else None)
+    return store, log, best_state
+
+
+@pytest.mark.parametrize("epochs, dev_scores", [(1, [1.0]), (1, None), (2, None)])
+def test_fit_returns_the_store_arrays_when_the_last_epoch_is_best(epochs, dev_scores):
+    store, _, best_state = quadratic_run(epochs, dev_scores)
+    assert np.shares_memory(best_state["w"], store.value("w"))
+
+
+def test_fit_copies_the_best_state_only_while_a_later_epoch_can_change_it():
+    store, log, best_state = quadratic_run(2, [2.0, 1.0])
+    assert [record.get("best", False) for record in log] == [True, False]
+    _, _, after_one = quadratic_run(1, None)
+    assert not np.shares_memory(best_state["w"], store.value("w"))
+    assert best_state["w"].tobytes() == after_one["w"].tobytes()
+    assert best_state["w"].tobytes() != store.value("w").tobytes()
+    store, log, best_state = quadratic_run(2, [1.0, 2.0])  # a copy at epoch 1, then the store's own arrays
+    assert [record.get("best", False) for record in log] == [True, True]
+    assert np.shares_memory(best_state["w"], store.value("w"))
+
+
+def test_the_final_checkpoint_is_the_store_after_training(fixtures_dir, tmp_path):
+    assert "final_state" not in {f.name for f in dataclasses.fields(harness.TrainResult)}
+    result = train(tiny_config(fixtures_dir, tmp_path, dev_fraction=0.2, epochs=2))
+    save_archive(tmp_path / "store.ckpt", {name: result.store.value(name) for name in result.store.names()})
+    assert result.final_checkpoint.read_bytes() == (tmp_path / "store.ckpt").read_bytes()
 
 
 def test_train_missing_inputs_fail_before_training(fixtures_dir, tmp_path):
