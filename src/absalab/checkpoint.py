@@ -16,7 +16,10 @@ Model checkpoints pair the archive with a ``<path>.meta.json`` sidecar
 describing how to rebuild the model (architecture, dimensions, input
 mode). Transfer-row caches reuse the same archive with one entry per
 sentence id. Archives, sidecars and training logs are written whole or not
-at all: into a temporary file beside the target, then moved onto it.
+at all: into a temporary file beside the target, then moved onto it. A load
+checks each entry's extents against the bytes left in the file before it
+allocates, then reads the values straight into the entry's own array, so it
+holds one copy of the file.
 """
 
 from __future__ import annotations
@@ -66,50 +69,53 @@ def save_archive(path, entries: Mapping[str, np.ndarray]) -> None:
 
 def load_archive(path) -> dict[str, np.ndarray]:
     path = Path(path)
-    blob = path.read_bytes()
-    view = memoryview(blob)
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"{path}: not an ABSA-CKPT archive")
-    offset = len(MAGIC)
+    with open(path, "rb") as fh:
+        length = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise ValueError(f"{path}: not an ABSA-CKPT archive")
+        offset = len(MAGIC)
 
-    def unpack(fmt):
-        nonlocal offset
-        size = struct.calcsize(fmt)
-        if offset + size > len(blob):
-            raise ValueError(f"{path}: truncated archive at byte {offset}")
-        out = struct.unpack_from(fmt, view, offset)
-        offset += size
-        return out
+        def read(size):
+            nonlocal offset
+            data = fh.read(size)
+            if len(data) < size:
+                raise ValueError(f"{path}: truncated archive at byte {offset}")
+            offset += size
+            return data
 
-    (version,) = unpack("<B")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported archive version {version}")
-    (count,) = unpack("<I")
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = unpack("<H")
-        if offset + name_len > len(blob):
-            raise ValueError(f"{path}: truncated archive at byte {offset}")
-        try:
-            name = bytes(view[offset : offset + name_len]).decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise ValueError(f"{path}: entry name is not UTF-8 at byte {offset + err.start}") from None
-        if name in entries:
-            raise ValueError(f"{path}: duplicate entry {name!r}")
-        offset += name_len
-        (rank,) = unpack("<B")
-        shape = tuple(unpack(f"<{rank}I")) if rank else ()
-        size = math.prod(shape)  # Python ints: a wrapped product would pass the length check
-        nbytes = 4 * size
-        if offset + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated values for entry {name!r}")
-        try:  # numpy refuses some shapes of no values too, e.g. (0, 2**32 - 1, 2**32 - 1)
-            entries[name] = np.frombuffer(view, dtype="<f4", count=size, offset=offset).reshape(shape).copy()
-        except ValueError as err:
-            raise ValueError(f"{path}: entry {name!r} has extents {shape} that numpy cannot hold: {err}") from None
-        offset += nbytes
-    if offset != len(blob):
-        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes")
+        def unpack(fmt):
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        (version,) = unpack("<B")
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported archive version {version}")
+        (count,) = unpack("<I")
+        entries: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = unpack("<H")
+            start = offset
+            try:
+                name = read(name_len).decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ValueError(f"{path}: entry name is not UTF-8 at byte {start + err.start}") from None
+            if name in entries:
+                raise ValueError(f"{path}: duplicate entry {name!r}")
+            (rank,) = unpack("<B")
+            shape = unpack(f"<{rank}I")
+            size = math.prod(shape)  # Python ints: a wrapped product would pass the length check
+            nbytes = 4 * size
+            if nbytes > length - offset:  # checked before anything is allocated
+                raise ValueError(f"{path}: truncated values for entry {name!r}")
+            flat = np.empty(size, dtype="<f4")
+            try:  # numpy refuses some shapes of no values too, e.g. (0, 2**32 - 1, 2**32 - 1)
+                entries[name] = flat.reshape(shape)
+            except ValueError as err:
+                raise ValueError(f"{path}: entry {name!r} has extents {shape} that numpy cannot hold: {err}") from None
+            if fh.readinto(flat) != nbytes:  # e.g. the file shrank after it was opened
+                raise ValueError(f"{path}: truncated values for entry {name!r}")
+            offset += nbytes
+    if offset != length:
+        raise ValueError(f"{path}: {length - offset} trailing bytes")
     return entries
 
 

@@ -1,6 +1,8 @@
+import io
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from absalab import checkpoint
 from absalab.checkpoint import MAGIC, atomic_write, load_archive, load_checkpoint, save_archive, save_checkpoint
 
 
@@ -110,12 +113,93 @@ def _fuzz_archive() -> bytes:
 FUZZ_ARCHIVE = _fuzz_archive()
 
 
+# FUZZ_ARCHIVE cut to its first `end` bytes is refused with the message of the
+# last pair whose byte is at most `end`: the header (magic, version, count),
+# then for each of "s", "b", "w/é" and "e" its name length, name, rank,
+# extents and values.
+FUZZ_CUT_REFUSALS = [
+    (0, "not an ABSA-CKPT archive"), (10, "truncated archive at byte 10"), (11, "truncated archive at byte 11"),
+    (15, "truncated archive at byte 15"), (17, "truncated archive at byte 17"), (18, "truncated archive at byte 18"),
+    (19, "truncated archive at byte 19"), (23, "truncated values for entry 's'"),
+    (27, "truncated archive at byte 27"), (29, "truncated archive at byte 29"), (30, "truncated archive at byte 30"),
+    (31, "truncated archive at byte 31"), (35, "truncated values for entry 'b'"),
+    (47, "truncated archive at byte 47"), (49, "truncated archive at byte 49"), (53, "truncated archive at byte 53"),
+    (54, "truncated archive at byte 54"), (62, "truncated values for entry 'w/é'"),
+    (78, "truncated archive at byte 78"), (80, "truncated archive at byte 80"), (81, "truncated archive at byte 81"),
+    (82, "truncated archive at byte 82"),
+]
+
+
 def test_an_archive_cut_at_any_byte_is_refused_by_name(tmp_path):
     path = tmp_path / "cut.ckpt"
+    assert len(FUZZ_ARCHIVE) == 90
     for end in range(len(FUZZ_ARCHIVE)):
         path.write_bytes(FUZZ_ARCHIVE[:end])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: ")):
+        refusal = [message for start, message in FUZZ_CUT_REFUSALS if start <= end][-1]
+        with pytest.raises(ValueError) as info:
             load_archive(path)
+        assert str(info.value) == f"{path}: {refusal}", end
+
+
+class _ShortReads(io.BufferedReader):
+    """A file whose reads into a buffer stop one value short, as when the
+    file shrinks after it was opened."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:-1])
+
+
+def test_a_short_read_of_values_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_archive(path, {"a": np.ones(3, dtype=np.float32), "b": np.arange(5, dtype=np.float32)})
+    monkeypatch.setattr(checkpoint, "open", lambda file, mode: _ShortReads(io.FileIO(file, mode)), raising=False)
+    with pytest.raises(ValueError) as info:
+        load_archive(path)
+    assert str(info.value) == f"{path}: truncated values for entry 'a'"
+
+
+def test_a_load_holds_one_copy_of_the_file(tmp_path):
+    # shaped like transfer rows: 300-wide rows, a few per sentence
+    rng = np.random.default_rng(0)
+    path = tmp_path / "rows.st"
+    save_archive(path, {f"sent-{i}": rng.normal(size=(i % 7 + 1, 300)) for i in range(128)})
+    size = path.stat().st_size
+    assert size >= 500_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        entries = load_archive(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 128
+    assert peak < 1.25 * size, peak / size
+
+
+def test_loaded_entries_are_their_own_writeable_arrays(tmp_path):
+    path = tmp_path / "small.ckpt"
+    path.write_bytes(FUZZ_ARCHIVE)
+    entries = load_archive(path)
+    assert {name: value.shape for name, value in entries.items()} == {"s": (1,), "b": (3,), "w/é": (2, 2), "e": (0, 4)}
+    for name, value in entries.items():
+        assert value.dtype == np.float32 and value.flags.c_contiguous and value.flags.writeable, name
+        assert not any(np.shares_memory(value, other) for other_name, other in entries.items() if other_name != name)
+
+
+def test_thousands_of_small_entries_keep_names_order_shapes_and_bits(tmp_path):
+    rng = np.random.default_rng(3)
+    entries = {}
+    for i in range(3000):
+        shape = tuple(rng.integers(0, 4, size=rng.integers(1, 4)))
+        bits = rng.integers(0, 2**32, size=shape, dtype=np.uint32)  # NaN payloads, -0.0 and subnormals too
+        entries[f"{i % 10}/row-{i}"] = bits.view(np.float32)
+    path = tmp_path / "many.ckpt"
+    save_archive(path, entries)
+    loaded = load_archive(path)
+    assert list(loaded) == list(entries)
+    for name, value in entries.items():
+        assert loaded[name].shape == value.shape, name
+        assert loaded[name].tobytes() == value.tobytes(), name
 
 
 @settings(max_examples=400, deadline=None)
